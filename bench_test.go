@@ -557,7 +557,7 @@ func BenchmarkEngineSlots(b *testing.B) {
 	sc := tightsched.PaperScenario(5, 10, 3, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := tightsched.Run(sc, "IE", tightsched.Options{Seed: uint64(i), Cap: 5_000})
+		res, err := tightsched.NewSession().Run(context.Background(), sc, "IE", tightsched.WithSeed(uint64(i)), tightsched.WithCap(5_000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -667,7 +667,7 @@ func BenchmarkAblationProactive(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			sc := tightsched.PaperScenario(5, 10, 2, 77)
 			for i := 0; i < b.N; i++ {
-				res, err := tightsched.Run(sc, name, tightsched.Options{Seed: 13, Cap: 200_000})
+				res, err := tightsched.NewSession().Run(context.Background(), sc, name, tightsched.WithSeed(13), tightsched.WithCap(200_000))
 				if err != nil {
 					b.Fatal(err)
 				}

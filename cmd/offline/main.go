@@ -26,8 +26,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"tightsched/internal/cli"
@@ -259,11 +261,13 @@ type trialHeader struct {
 }
 
 // trialJournal is the trial-loop analogue of exp.Journal, built on the
-// same crash-tolerant JSONL substrate (exp.ReadJSONL and friends): a
-// header line, then one line per trial, flushed per line, tolerating a
-// crash-torn tail on reopen. An empty path makes it a no-op.
+// same crash-tolerant record log (exp.ScanRecords and exp.RecordWriter):
+// a JSONL header line, then one line per trial, written per line. On
+// reopen a torn tail — a line cut short or a garbled final line — is
+// dropped and truncated away; a garbled earlier line is an error. An
+// empty path makes it a no-op.
 type trialJournal struct {
-	w    *exp.JSONLWriter
+	w    *exp.RecordWriter
 	done map[int]trialRecord
 }
 
@@ -272,43 +276,52 @@ func openTrialJournal(path string, resume bool, hdr trialHeader) (*trialJournal,
 	if path == "" {
 		return tj, nil
 	}
-	headerLine, records, validLen, err := exp.ReadJSONL(path)
-	switch {
-	case err == nil:
-		if !resume {
-			return nil, fmt.Errorf("journal %s exists; pass -resume to continue it", path)
-		}
-		var got trialHeader
-		if err := json.Unmarshal(headerLine, &got); err != nil {
-			return nil, fmt.Errorf("journal %s header: %w", path, err)
-		}
-		if got != hdr {
-			return nil, fmt.Errorf("journal %s records a different batch (%+v, want %+v)", path, got, hdr)
-		}
-		for i, line := range records {
+	var format exp.Format
+	validLen, err := exp.ScanRecords(path,
+		func(f exp.Format, raw []byte) error {
+			if !resume {
+				return fmt.Errorf("journal %s exists; pass -resume to continue it", path)
+			}
+			format = f
+			var got trialHeader
+			if err := json.Unmarshal(raw, &got); err != nil {
+				return fmt.Errorf("journal %s header: %w", path, err)
+			}
+			if got != hdr {
+				return fmt.Errorf("journal %s records a different batch (%+v, want %+v)", path, got, hdr)
+			}
+			return nil
+		},
+		func(payload []byte) error {
 			var rec trialRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("journal %s line %d: %w", path, i+2, err)
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				return err
 			}
 			tj.done[rec.Trial] = rec
+			return nil
+		})
+	switch {
+	case err == nil:
+		tj.w, err = exp.OpenRecordLog(path, format, validLen)
+	case errors.Is(err, fs.ErrNotExist):
+		var raw []byte
+		if raw, err = json.Marshal(hdr); err == nil {
+			tj.w, err = exp.CreateRecordLog(path, exp.FormatJSONL, raw)
 		}
-		if tj.w, err = exp.OpenJSONLAppend(path, validLen); err != nil {
-			return nil, err
-		}
-		return tj, nil
-	case os.IsNotExist(err):
-		if tj.w, err = exp.CreateJSONL(path, hdr); err != nil {
-			return nil, err
-		}
-		return tj, nil
-	default:
+	}
+	if err != nil {
 		return nil, err
 	}
+	return tj, nil
 }
 
 func (tj *trialJournal) append(rec trialRecord) error {
 	if tj.w != nil {
-		if err := tj.w.Append(rec); err != nil {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if err := tj.w.AppendRecord(raw); err != nil {
 			return err
 		}
 	}

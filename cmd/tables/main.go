@@ -481,7 +481,7 @@ func openOrCreateOnlineJournal(path string, format tightsched.JournalFormat, res
 			return nil, err
 		}
 	}
-	return tightsched.CreateOnlineJournalFormat(path, g, format)
+	return tightsched.CreateOnlineJournal(path, g, format)
 }
 
 // sweepHeuristics returns the campaign's resolved heuristic list.
@@ -524,7 +524,7 @@ func openOrCreateJournal(path string, format tightsched.JournalFormat, resume bo
 			return nil, err
 		}
 	}
-	return tightsched.CreateSweepJournalFormat(path, sweep, shard, format)
+	return tightsched.CreateSweepJournal(path, sweep, shard, format)
 }
 
 func modelNames(sweep tightsched.Sweep) []string {

@@ -67,12 +67,12 @@ var goldenRuns = []struct {
 func TestMarkovModelGoldenParity(t *testing.T) {
 	for _, g := range goldenRuns {
 		for _, explicit := range []bool{false, true} {
-			opt := tightsched.Options{Seed: g.seed, Cap: 200_000}
+			opts := []tightsched.Option{tightsched.WithSeed(g.seed), tightsched.WithCap(200_000)}
 			if explicit {
-				opt.Model = tightsched.MarkovModel{}
+				opts = append(opts, tightsched.WithModel(tightsched.MarkovModel{}))
 			}
 			sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-			res, err := tightsched.Run(sc, g.heuristic, opt)
+			res, err := tightsched.NewSession().Run(context.Background(), sc, g.heuristic, opts...)
 			if err != nil {
 				t.Fatalf("%s m=%d seed=%d: %v", g.heuristic, g.m, g.seed, err)
 			}
@@ -97,14 +97,13 @@ func TestMarkovModelGoldenParity(t *testing.T) {
 func TestEvaluationCacheGoldenParity(t *testing.T) {
 	for _, g := range goldenRuns {
 		sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-		base, err := tightsched.Run(sc, g.heuristic, tightsched.Options{Seed: g.seed, Cap: 200_000})
+		session := tightsched.NewSession(tightsched.WithSeed(g.seed), tightsched.WithCap(200_000))
+		base, err := session.Run(context.Background(), sc, g.heuristic)
 		if err != nil {
 			t.Fatalf("%s m=%d seed=%d: %v", g.heuristic, g.m, g.seed, err)
 		}
-		uncached, err := tightsched.Run(sc, g.heuristic, tightsched.Options{
-			Seed: g.seed, Cap: 200_000,
-			Analytic: tightsched.AnalyticOptions{DisableMemo: true},
-		})
+		uncached, err := session.Run(context.Background(), sc, g.heuristic,
+			tightsched.WithAnalytic(tightsched.AnalyticOptions{DisableMemo: true}))
 		if err != nil {
 			t.Fatalf("%s m=%d seed=%d uncached: %v", g.heuristic, g.m, g.seed, err)
 		}
@@ -124,10 +123,9 @@ func TestSpectralGoldenScenarios(t *testing.T) {
 			continue // no analytic evaluation involved
 		}
 		sc := tightsched.PaperScenario(g.m, 10, 2, 11)
-		res, err := tightsched.Run(sc, g.heuristic, tightsched.Options{
-			Seed: g.seed, Cap: 200_000,
-			Analytic: tightsched.AnalyticOptions{Spectral: true},
-		})
+		res, err := tightsched.NewSession().Run(context.Background(), sc, g.heuristic,
+			tightsched.WithSeed(g.seed), tightsched.WithCap(200_000),
+			tightsched.WithAnalytic(tightsched.AnalyticOptions{Spectral: true}))
 		if err != nil {
 			t.Fatalf("%s m=%d seed=%d spectral: %v", g.heuristic, g.m, g.seed, err)
 		}
@@ -154,7 +152,7 @@ func TestLeapGoldenParity(t *testing.T) {
 		return s
 	}
 	render := func(sweep tightsched.Sweep, table int) string {
-		res, err := tightsched.RunSweep(sweep, nil)
+		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 		if err != nil {
 			t.Fatalf("table %d advance=%v: %v", table, sweep.Advance, err)
 		}
@@ -222,7 +220,7 @@ func TestBatchGoldenParity(t *testing.T) {
 		return s
 	}
 	render := func(sweep tightsched.Sweep, table int) string {
-		res, err := tightsched.RunSweep(sweep, nil)
+		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 		if err != nil {
 			t.Fatalf("table %d advance=%v: %v", table, sweep.Advance, err)
 		}
@@ -290,7 +288,7 @@ func TestQuickSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		sweep := base
 		sweep.Workers = workers
-		res, err := tightsched.RunSweep(sweep, nil)
+		res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

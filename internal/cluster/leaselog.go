@@ -9,7 +9,7 @@ import (
 )
 
 // The lease state log is the coordinator's durability: an append-only
-// JSONL file (same crash-tolerant substrate as the campaign journal)
+// JSONL record log (exp.CreateRecordLog, the campaign journal's substrate)
 // holding one header line — the campaign's full cluster identity — and
 // one line per lease-lifecycle transition. Heartbeats are deliberately
 // NOT logged: deadlines are volatile state, recomputed on restart, so
@@ -70,35 +70,39 @@ type stateEvent struct {
 // decoded events of the intact prefix, the terminal state ("" while the
 // campaign is live), and the byte length of the intact prefix for
 // appending. A torn tail — the signature of a coordinator killed
-// mid-write — is dropped: the transition it would have recorded was
-// never acknowledged, so losing it is consistent by construction.
+// mid-write — is dropped (exp.ScanRecords): the transition it would have
+// recorded was never acknowledged, so losing it is consistent by
+// construction.
 func ReadState(path string) (StateHeader, []stateEvent, string, int64, error) {
-	headerLine, records, validLen, err := exp.ReadJSONL(path)
+	var header StateHeader
+	var events []stateEvent
+	terminal := ""
+	validLen, err := exp.ScanRecords(path,
+		func(format exp.Format, raw []byte) error {
+			if format != exp.FormatJSONL {
+				return fmt.Errorf("not a JSONL lease log")
+			}
+			if err := json.Unmarshal(raw, &header); err != nil {
+				return fmt.Errorf("header: %w", err)
+			}
+			if header.V != 1 {
+				return fmt.Errorf("unknown version %d", header.V)
+			}
+			return nil
+		},
+		func(payload []byte) error {
+			var ev stateEvent
+			if err := json.Unmarshal(payload, &ev); err != nil {
+				return err
+			}
+			if ev.Ev == "end" {
+				terminal = ev.State
+			}
+			events = append(events, ev)
+			return nil
+		})
 	if err != nil {
 		return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: read state %s: %w", path, err)
-	}
-	var header StateHeader
-	if err := json.Unmarshal(headerLine, &header); err != nil {
-		return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: state %s header: %w", path, err)
-	}
-	if header.V != 1 {
-		return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: state %s has unknown version %d", path, header.V)
-	}
-	events := make([]stateEvent, 0, len(records))
-	terminal := ""
-	for i, line := range records {
-		var ev stateEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			if i == len(records)-1 {
-				validLen -= int64(len(line)) + 1 // torn tail
-				break
-			}
-			return StateHeader{}, nil, "", 0, fmt.Errorf("cluster: state %s line %d: %w", path, i+2, err)
-		}
-		if ev.Ev == "end" {
-			terminal = ev.State
-		}
-		events = append(events, ev)
 	}
 	return header, events, terminal, validLen, nil
 }

@@ -338,7 +338,7 @@ func AggregateJournal(path string) (*Result, error) {
 	var format Format
 	var acc *tableAccumulator
 	intern := map[string]string{}
-	err := scanRecords(path,
+	_, err := ScanRecords(path,
 		func(f Format, raw []byte) error {
 			format = f
 			h, err := parseJournalHeader(path, raw)
@@ -359,9 +359,6 @@ func AggregateJournal(path string) (*Result, error) {
 		})
 	if err != nil {
 		return nil, err
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("exp: journal %s: no header record", path)
 	}
 	r := &Result{Sweep: header.Spec.sweepDims()}
 	r.preseedAgg(ReferenceHeuristic, acc)
@@ -440,9 +437,8 @@ func AggregateGridJournal(path string) (*Result, error) {
 	var header gridHeader
 	var format Format
 	acc := newTableIVAccumulator()
-	seenHeader := false
 	intern := map[string]string{}
-	err := scanRecords(path,
+	_, err := ScanRecords(path,
 		func(f Format, raw []byte) error {
 			format = f
 			h, err := parseGridHeader(path, raw)
@@ -450,7 +446,6 @@ func AggregateGridJournal(path string) (*Result, error) {
 				return err
 			}
 			header = h
-			seenHeader = true
 			return nil
 		},
 		func(payload []byte) error {
@@ -463,9 +458,6 @@ func AggregateGridJournal(path string) (*Result, error) {
 		})
 	if err != nil {
 		return nil, err
-	}
-	if !seenHeader {
-		return nil, fmt.Errorf("exp: journal %s: no header record", path)
 	}
 	return &Result{Grid: &GridResult{Sweep: header.Spec.Sweep(), agg: acc}}, nil
 }

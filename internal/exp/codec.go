@@ -1,21 +1,16 @@
 package exp
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
+	"unicode/utf8"
 )
 
 // This file is the journal codec seam: the Format knob every journal
-// creation path threads through (CLI flag, daemon spec, cluster config),
-// the compact binary encodings of the two record types, and a streaming
-// record scanner shared by aggregation, conversion and columnar export.
+// creation path threads through (CLI flag, daemon spec, cluster config)
+// and the compact binary encodings of the two record types. The framing
+// and the one record reader live in recordlog.go.
 //
 // The two formats carry the same records under the same coordinate Keys;
 // only the framing and per-record encoding differ. The header record is
@@ -31,7 +26,7 @@ const (
 	// FormatJSONL is the interoperable default: one JSON record per line.
 	FormatJSONL Format = iota
 	// FormatBinary is the compact length-prefixed binary codec
-	// (binlog.go): a version byte up front, CRC per record.
+	// (recordlog.go): a version byte up front, CRC per record.
 	FormatBinary
 )
 
@@ -60,130 +55,6 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// recordAppender abstracts the two journal writers behind one append
-// seam: a payload in, one flushed write out.
-type recordAppender interface {
-	AppendRecord(payload []byte) error
-	Close() error
-}
-
-// AppendRecord writes a pre-encoded JSON payload as one journal line.
-func (w *JSONLWriter) AppendRecord(payload []byte) error {
-	if _, err := w.f.Write(append(append(make([]byte, 0, len(payload)+1), payload...), '\n')); err != nil {
-		return fmt.Errorf("journal append: %w", err)
-	}
-	return nil
-}
-
-// sniffData reports the format of journal bytes: binary by magic,
-// JSONL otherwise (its first byte is '{').
-func sniffData(data []byte) Format {
-	if IsBinaryLog(data) {
-		return FormatBinary
-	}
-	return FormatJSONL
-}
-
-// SniffFormat reports a journal file's on-disk format from its leading
-// bytes.
-func SniffFormat(path string) (Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	head := make([]byte, len(binMagic))
-	n, err := io.ReadFull(f, head)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, err
-	}
-	return sniffData(head[:n]), nil
-}
-
-// journalRecord is one record of either format plus the offset just past
-// it, so entry-level readers can place a tear precisely.
-type journalRecord struct {
-	payload []byte
-	end     int64
-}
-
-// readJournalRecords loads a journal of either format: its format, the
-// raw header payload, the records of the intact prefix, and the prefix
-// length. Framing-level tears are already excluded; a record that frames
-// correctly but fails entry decoding is the caller's to judge (tail =
-// tear, earlier = corruption).
-func readJournalRecords(path string) (Format, []byte, []journalRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, nil, 0, err
-	}
-	if sniffData(data) == FormatBinary {
-		recs, validLen, err := parseBinaryLog(path, data)
-		if err != nil {
-			return 0, nil, nil, 0, err
-		}
-		if len(recs) == 0 {
-			return 0, nil, nil, 0, fmt.Errorf("%s: no header record", path)
-		}
-		out := make([]journalRecord, len(recs)-1)
-		for i, r := range recs[1:] {
-			out[i] = journalRecord{payload: r.payload, end: r.end}
-		}
-		return FormatBinary, recs[0].payload, out, validLen, nil
-	}
-	// JSONL: reuse the line substrate, recovering per-line end offsets.
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		data = data[:bytes.LastIndexByte(data, '\n')+1]
-	}
-	validLen := int64(len(data))
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) > 0 && len(lines[len(lines)-1]) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return 0, nil, nil, 0, fmt.Errorf("%s: no header line", path)
-	}
-	off := int64(len(lines[0])) + 1
-	out := make([]journalRecord, len(lines)-1)
-	for i, line := range lines[1:] {
-		off += int64(len(line)) + 1
-		out[i] = journalRecord{payload: line, end: off}
-	}
-	return FormatJSONL, lines[0], out, validLen, nil
-}
-
-// openRecordAppender reopens a journal of the given format for appending
-// at validLen (the intact prefix), truncating a torn tail.
-func openRecordAppender(path string, format Format, validLen int64) (recordAppender, error) {
-	if format == FormatBinary {
-		return OpenBinaryLogAppend(path, validLen)
-	}
-	return OpenJSONLAppend(path, validLen)
-}
-
-// createRecordLog creates a fresh journal of the given format whose first
-// record is the marshaled header document.
-func createRecordLog(path string, format Format, header any) (recordAppender, error) {
-	hdr, err := json.Marshal(header)
-	if err != nil {
-		return nil, err
-	}
-	if format == FormatBinary {
-		return CreateBinaryLog(path, hdr)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	w := &JSONLWriter{f: f}
-	if err := w.AppendRecord(hdr); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return w, nil
-}
-
 // ---- entry encodings -------------------------------------------------------
 //
 // Binary records are plain field-by-field encodings — varints for the
@@ -209,6 +80,11 @@ func decodeString(b []byte, intern map[string]string) (string, []byte, error) {
 	raw := b[w : w+int(n)]
 	s, ok := intern[string(raw)]
 	if !ok {
+		// JSON cannot carry invalid UTF-8, so neither may a record that
+		// must convert between the formats unchanged.
+		if !utf8.Valid(raw) {
+			return "", nil, fmt.Errorf("invalid UTF-8 string")
+		}
 		s = string(raw)
 		intern[s] = s
 	}
@@ -322,115 +198,8 @@ func decodeBinaryGridEntry(b []byte, intern map[string]string) (GridInstance, er
 		return in, fmt.Errorf("bad grid entry tail (%d bytes)", len(b))
 	}
 	in.SlowSum = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	if math.IsNaN(in.SlowSum) || math.IsInf(in.SlowSum, 0) {
+		return in, fmt.Errorf("non-finite slowdown sum") // JSON cannot carry it
+	}
 	return in, nil
-}
-
-// ---- streaming scan --------------------------------------------------------
-
-// scanRecords streams a journal's records through fn without loading the
-// file into memory: it sniffs the format, hands it with the raw header
-// payload to header, then each record payload (valid for the duration of
-// the call only) to fn. Torn tails are tolerated exactly as the loading
-// readers do: a final damaged record is dropped silently, damage with
-// records after it is an error. fn returning an error aborts the scan.
-func scanRecords(path string, header func(format Format, payload []byte) error, fn func(payload []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	head, err := br.Peek(len(binMagic))
-	if err != nil && err != io.EOF {
-		return err
-	}
-	if sniffData(head) == FormatBinary {
-		return scanBinaryRecords(path, br, func(p []byte) error { return header(FormatBinary, p) }, fn)
-	}
-	return scanJSONLRecords(path, br, func(p []byte) error { return header(FormatJSONL, p) }, fn)
-}
-
-// scanJSONLRecords streams line records. Only the final line may be
-// damaged (torn tail, reported by fn failing on it); a failing fn on any
-// earlier line aborts with that error — matching readJournal's
-// tamper-vs-tear policy. A line that the underlying read cuts short
-// (no trailing newline) is dropped without ever reaching fn.
-func scanJSONLRecords(path string, br *bufio.Reader, header, fn func([]byte) error) error {
-	var pending error // fn's error on the previous line, fatal iff more lines follow
-	first := true
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			if len(line) > 0 {
-				return nil // cut-short final line: torn tail
-			}
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if pending != nil {
-			return pending
-		}
-		line = line[:len(line)-1]
-		if first {
-			first = false
-			if err := header(line); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fn(line); err != nil {
-			pending = fmt.Errorf("%s: %w", path, err)
-		}
-	}
-}
-
-// scanBinaryRecords streams CRC-framed records. The first damaged frame
-// ends the scan (the torn tail); a CRC-valid record on which fn fails is
-// fatal only when records follow it.
-func scanBinaryRecords(path string, br *bufio.Reader, header, fn func([]byte) error) error {
-	hdr := make([]byte, binHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return fmt.Errorf("%s: truncated binary journal header", path)
-	}
-	if hdr[4] != binVersion {
-		return fmt.Errorf("%s: unknown binary journal version %d", path, hdr[4])
-	}
-	var pending error
-	var buf []byte
-	first := true
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err != nil || n > maxBinRecord {
-			return nil // torn or garbled length prefix: tear
-		}
-		need := int(n) + 4
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		buf = buf[:need]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil // frame runs past EOF: tear
-		}
-		payload := buf[:n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[n:]) {
-			return nil // damaged payload: tear
-		}
-		// A full CRC-valid record follows, so a decode failure on the
-		// previous record was corruption, not a tear.
-		if pending != nil {
-			return pending
-		}
-		if first {
-			first = false
-			if err := header(payload); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := fn(payload); err != nil {
-			pending = fmt.Errorf("%s: %w", path, err)
-		}
-	}
 }

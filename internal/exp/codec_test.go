@@ -3,8 +3,10 @@ package exp
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,11 +51,14 @@ func TestBinaryJournalResultParity(t *testing.T) {
 	jsonlPath, ref := runJournaled(t, dir, s, FormatJSONL)
 	binPath, _ := runJournaled(t, dir, s, FormatBinary)
 
-	if f, err := SniffFormat(binPath); err != nil || f != FormatBinary {
-		t.Fatalf("SniffFormat(bin) = %v, %v", f, err)
-	}
-	if f, err := SniffFormat(jsonlPath); err != nil || f != FormatJSONL {
-		t.Fatalf("SniffFormat(jsonl) = %v, %v", f, err)
+	for path, want := range map[string]Format{binPath: FormatBinary, jsonlPath: FormatJSONL} {
+		j, _, err := readJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Format() != want {
+			t.Fatalf("%s: sniffed format %v, want %v", path, j.Format(), want)
+		}
 	}
 
 	fromJSONL, _, err := LoadJournal(jsonlPath)
@@ -132,6 +137,9 @@ func TestConvertRoundTripByteIdentical(t *testing.T) {
 	// Refuses to clobber.
 	if err := ConvertJournal(jsonlPath, binPath, FormatBinary); err == nil {
 		t.Fatal("convert over an existing destination should fail")
+	}
+	if kept, err := os.ReadFile(binPath); err != nil || !bytes.Equal(kept, b1) {
+		t.Fatalf("refused convert damaged the existing destination: %v", err)
 	}
 }
 
@@ -277,17 +285,22 @@ func TestBinaryCorruptMiddleRejected(t *testing.T) {
 	// A CRC-valid record whose payload fails entry decoding, with records
 	// after it, is corruption, not a tear. Splice in a well-framed garbage
 	// record right after the header.
-	recs, _, err := parseBinaryLog(path, data)
+	hj, err := CreateJournalFormat(filepath.Join(tmp, "header-only.bin"), s, Shard{}, FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerEnd := recs[0].end
+	hj.Close()
+	hi, err := os.Stat(hj.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd := hi.Size()
 	garbage := []byte{0xde, 0xad}
 	var frame []byte
 	frame = binary.AppendUvarint(frame, uint64(len(garbage)))
 	frame = append(frame, garbage...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(garbage))
-	spliced := append(append(append([]byte(nil), data[:headerEnd]...), frame...), data[headerEnd:]...)
+	spliced := append(append(append([]byte(nil), data[:hdrEnd]...), frame...), data[hdrEnd:]...)
 	splicedPath := filepath.Join(tmp, "spliced.bin")
 	if err := os.WriteFile(splicedPath, spliced, 0o644); err != nil {
 		t.Fatal(err)
@@ -434,6 +447,16 @@ func TestGridCrossFormatConvertResume(t *testing.T) {
 	if got := FormatTableIV(agg.Grid.TableIV()); got != refTable {
 		t.Fatal("Table IV differs under streaming aggregation")
 	}
+
+	// Sweep readers refuse a grid journal in either format.
+	for _, path := range []string{binPath, jsonlPath} {
+		if _, _, err := LoadJournal(path); err == nil {
+			t.Fatalf("%s: sweep loader accepted a grid journal", path)
+		}
+		if err := ExportColumns(path, filepath.Join(tmp, "cols")); err == nil {
+			t.Fatalf("%s: grid journal exported as sweep columns", path)
+		}
+	}
 }
 
 // TestExportColumns: the columnar export's files are exactly rows × width
@@ -508,7 +531,7 @@ func TestExportColumns(t *testing.T) {
 	// Grid journals have no instance columns.
 	g := gridTestSweep()
 	gridPath := filepath.Join(tmp, "grid.jsonl")
-	gj, err := CreateGridJournal(gridPath, &g)
+	gj, err := CreateGridJournalFormat(gridPath, &g, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,14 +603,25 @@ func TestAggregateJournalAllocsBounded(t *testing.T) {
 	}
 }
 
-// FuzzJournalDecode: arbitrary bytes must never panic a reader, and the
-// whole-file and streaming readers must agree on the record count
-// whenever both accept the input.
+// FuzzJournalDecode: arbitrary bytes must never panic a reader. When a
+// journal kind accepts an input, reopening it for append must leave
+// exactly the intact prefix the loader reported, reloading that prefix
+// must yield the same instances, and converting the input to the other
+// format must carry the same instance set.
 func FuzzJournalDecode(f *testing.F) {
+	dir := f.TempDir()
+	addSeeds := func(path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-3]) // torn tail
+	}
 	s := tinySweep([]string{"IE", "RANDOM"})
 	s.Scenarios = 1
 	s.Trials = 1
-	dir := f.TempDir()
+	g := gridTestSweep()
 	for _, format := range []Format{FormatJSONL, FormatBinary} {
 		path := filepath.Join(dir, "seed."+format.String())
 		j, err := CreateJournalFormat(path, s, Shard{}, format)
@@ -606,49 +640,128 @@ func FuzzJournalDecode(f *testing.F) {
 		if err := j.Close(); err != nil {
 			f.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
+		addSeeds(path)
+
+		gpath := filepath.Join(dir, "grid-seed."+format.String())
+		gj, err := CreateGridJournalFormat(gpath, &g, format)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)-3]) // torn tail
+		for trial := 0; trial < 2; trial++ {
+			inst := GridInstance{GridKey: GridKey{Arrival: "poisson", Admission: "fcfs", Preemption: "none", Trial: trial},
+				Apps: 6, Completed: 5, Missed: 1, RespSum: 900, SlowSum: 7.25, Makespan: 6000}
+			if err := gj.Append(inst); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := gj.Close(); err != nil {
+			f.Fatal(err)
+		}
+		addSeeds(gpath)
 	}
+	// Binary records JSON cannot carry: an invalid UTF-8 name and a NaN
+	// slowdown sum.
+	bad := filepath.Join(dir, "bad-utf8.binary")
+	j, err := CreateJournalFormat(bad, s, Shard{}, FormatBinary)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Append(InstanceResult{Model: "markov\xff", Heuristic: "IE", Makespan: 1}); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	addSeeds(bad)
+	badGrid := filepath.Join(dir, "bad-nan.binary")
+	gj, err := CreateGridJournalFormat(badGrid, &g, FormatBinary)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := gj.Append(GridInstance{SlowSum: math.NaN()}); err != nil {
+		f.Fatal(err)
+	}
+	gj.Close()
+	addSeeds(badGrid)
 	f.Add([]byte("TSBL\x01"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		format, _, recs, _, wholeErr := readJournalRecords(path)
-		intern := map[string]string{}
-		wholeDecoded := 0
-		if wholeErr == nil {
-			for _, rec := range recs {
-				if _, err := decodeJournalEntry(format, rec.payload, intern); err != nil {
-					break
-				}
-				wholeDecoded++
-			}
+		_, _ = AggregateJournal(path)
+		_, _ = AggregateGridJournal(path)
+		var probe struct {
+			Kind string `json:"kind"`
 		}
-		scanned := 0
-		scanErr := scanRecords(path,
-			func(Format, []byte) error { return nil },
-			func(payload []byte) error {
-				if _, err := decodeJournalEntry(format, payload, map[string]string{}); err != nil {
-					return err
-				}
-				scanned++
-				return nil
-			})
-		// Both readers accepting the input must agree on the decodable
-		// record count (the scan drops a decode-failing tail record; the
-		// whole-file count stops there too).
-		if wholeErr == nil && scanErr == nil && scanned != wholeDecoded {
-			t.Fatalf("whole-file reader decoded %d records, scanner %d", wholeDecoded, scanned)
-		}
-		// LoadJournal must not panic either (errors are fine).
-		_, _, _ = LoadJournal(path)
+		_, _ = ScanRecords(path, func(_ Format, raw []byte) error { return json.Unmarshal(raw, &probe) },
+			func([]byte) error { return nil })
+		isGrid := probe.Kind == gridJournalKind
+		checkJournalProperties(t, data, sweepSchema, !isGrid)
+		checkJournalProperties(t, data, gridSchema, isGrid)
 	})
+}
+
+// checkJournalProperties runs FuzzJournalDecode's properties for one
+// journal kind over a private copy of data. convert says whether
+// ConvertJournal reads the input as this kind (it dispatches on the
+// header's kind marker).
+func checkJournalProperties[H any, K comparable, R interface{ Key() K }](t *testing.T, data []byte, schema *journalSchema[H, R], convert bool) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "in")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var loaded journalCore[H, K, R]
+	validLen, err := loaded.load(schema, path)
+	if err != nil {
+		return
+	}
+	if validLen <= 0 || validLen > int64(len(data)) {
+		t.Fatalf("intact prefix %d outside the %d-byte input", validLen, len(data))
+	}
+	if err := loaded.reopen(validLen); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != validLen {
+		t.Fatalf("reopen left %v bytes (%v), want the intact prefix %d", fi.Size(), err, validLen)
+	}
+	var again journalCore[H, K, R]
+	againLen, err := again.load(schema, path)
+	if err != nil {
+		t.Fatalf("reloading the intact prefix: %v", err)
+	}
+	if againLen != validLen || !reflect.DeepEqual(again.done, loaded.done) {
+		t.Fatalf("reload changed the journal: prefix %d -> %d, %d -> %d instances",
+			validLen, againLen, len(loaded.done), len(again.done))
+	}
+
+	if !convert {
+		return
+	}
+	// Convert the original input, so the converter's own tear handling
+	// is exercised too.
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	to := FormatBinary
+	if loaded.format == FormatBinary {
+		to = FormatJSONL
+	}
+	dst := filepath.Join(dir, "converted")
+	if err := ConvertJournal(path, dst, to); err != nil {
+		t.Fatalf("convert to %v: %v", to, err)
+	}
+	var converted journalCore[H, K, R]
+	if _, err := converted.load(schema, dst); err != nil {
+		t.Fatalf("loading the converted journal: %v", err)
+	}
+	if converted.format != to || !reflect.DeepEqual(converted.done, loaded.done) {
+		t.Fatalf("conversion to %v changed the instance set: %d -> %d instances", to, len(loaded.done), len(converted.done))
+	}
 }

@@ -163,19 +163,10 @@ func ExportColumns(journalPath, dir string) error {
 			writeErr = err
 		}
 	}
-	err := scanRecords(journalPath,
+	_, err := ScanRecords(journalPath,
 		func(f Format, raw []byte) error {
 			format = f
-			var probe struct {
-				Kind string `json:"kind"`
-			}
-			if err := json.Unmarshal(raw, &probe); err != nil {
-				return fmt.Errorf("exp: export %s: bad journal header: %w", journalPath, err)
-			}
-			if probe.Kind == gridJournalKind {
-				return fmt.Errorf("exp: export %s: grid journals have no instance columns", journalPath)
-			}
-			_, err := parseJournalHeader(journalPath, raw)
+			_, err := parseJournalHeader(journalPath, raw) // rejects grid journals
 			return err
 		},
 		func(payload []byte) error {

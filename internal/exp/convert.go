@@ -17,16 +17,16 @@ import (
 func ConvertJournal(src, dst string, to Format) error {
 	var srcFormat Format
 	var err error
-	var w recordAppender
+	var w *RecordWriter
 	var buf []byte
 	intern := map[string]string{}
 	isGrid := false
-	// scanRecords swallows an fn error on the final record (that is the
+	// ScanRecords swallows an fn error on the final record (that is the
 	// torn-tail contract, and a tail that fails to decode should indeed
 	// be dropped) — but a destination write failure must surface even
 	// there, so track it separately.
 	var writeErr error
-	err = scanRecords(src,
+	_, err = ScanRecords(src,
 		func(format Format, headerRaw []byte) error {
 			srcFormat = format
 			// The kind marker distinguishes grid journals from sweep
@@ -45,26 +45,8 @@ func ConvertJournal(src, dst string, to Format) error {
 			} else if _, err := parseJournalHeader(src, headerRaw); err != nil {
 				return err
 			}
-			if to == FormatBinary {
-				bw, err := CreateBinaryLog(dst, headerRaw)
-				if err != nil {
-					return err
-				}
-				w = bw
-				return nil
-			}
-			f, err := os.OpenFile(dst, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-			if err != nil {
-				return err
-			}
-			jw := &JSONLWriter{f: f}
-			if err := jw.AppendRecord(headerRaw); err != nil {
-				f.Close()
-				os.Remove(dst)
-				return err
-			}
-			w = jw
-			return nil
+			w, err = CreateRecordLog(dst, to, headerRaw)
+			return err
 		},
 		func(payload []byte) error {
 			if isGrid {
@@ -97,14 +79,14 @@ func ConvertJournal(src, dst string, to Format) error {
 	if err == nil {
 		err = writeErr
 	}
-	if w != nil {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
+	if w == nil {
+		return err // dst was never created
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		os.Remove(dst)
-		return err
 	}
-	return nil
+	return err
 }

@@ -80,7 +80,7 @@ func TestGridCancelResumeByteIdentical(t *testing.T) {
 	refTable := FormatTableIV(ref.TableIV())
 
 	path := filepath.Join(t.TempDir(), "grid.journal")
-	j, err := CreateGridJournal(path, &g)
+	j, err := CreateGridJournalFormat(path, &g, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestGridCancelResumeByteIdentical(t *testing.T) {
 func TestGridJournalSpecMismatch(t *testing.T) {
 	g := gridTestSweep()
 	path := filepath.Join(t.TempDir(), "grid.journal")
-	j, err := CreateGridJournal(path, &g)
+	j, err := CreateGridJournalFormat(path, &g, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"tightsched/internal/grid"
 	"tightsched/internal/platform"
@@ -81,38 +80,37 @@ type gridHeader struct {
 const gridJournalKind = "grid"
 
 // GridJournal is the append-only journal of an online campaign — the
-// same crash-tolerant substrate as the sweep Journal (one header record,
-// one GridInstance per record, flush per append, torn tails truncated on
+// same crash-tolerant core as the sweep Journal (one header record, one
+// GridInstance per record, written per append, torn tails truncated on
 // reopen, JSONL or binary framing), keyed by (arrival, admission,
 // preemption, trial).
 type GridJournal struct {
-	mu     sync.Mutex
-	w      recordAppender
-	format Format
-	path   string
-	header gridHeader
-	done   map[GridKey]GridInstance
-	buf    []byte // entry encode buffer, reused across appends
+	journalCore[gridHeader, GridKey, GridInstance]
 }
 
-// CreateGridJournal starts a new JSONL journal for the campaign. It
-// refuses to clobber an existing file.
-func CreateGridJournal(path string, g *GridSweep) (*GridJournal, error) {
-	return CreateGridJournalFormat(path, g, FormatJSONL)
+var gridSchema = &journalSchema[gridHeader, GridInstance]{
+	parseHeader: parseGridHeader,
+	encode: func(b []byte, format Format, inst GridInstance) ([]byte, error) {
+		if format == FormatBinary {
+			return appendBinaryGridEntry(b, inst), nil
+		}
+		return json.Marshal(inst)
+	},
+	decode: decodeGridEntry,
 }
 
-// CreateGridJournalFormat is CreateGridJournal with an explicit on-disk
-// format.
+// CreateGridJournalFormat starts a new journal for the campaign in the
+// given on-disk format. It refuses to clobber an existing file.
 func CreateGridJournalFormat(path string, g *GridSweep, format Format) (*GridJournal, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	j := &GridJournal{}
 	header := gridHeader{V: 1, Kind: gridJournalKind, Spec: g.Spec()}
-	w, err := createRecordLog(path, format, header)
-	if err != nil {
+	if err := j.create(gridSchema, path, format, header); err != nil {
 		return nil, err
 	}
-	return &GridJournal{w: w, format: format, path: path, header: header, done: map[GridKey]GridInstance{}}, nil
+	return j, nil
 }
 
 // decodeGridEntry decodes one grid record payload in the given format.
@@ -137,56 +135,31 @@ func parseGridHeader(path string, raw []byte) (gridHeader, error) {
 	return header, nil
 }
 
-// readGridJournal loads a journal file of either format read-only:
-// format, header, completed instances, and the intact prefix length for
-// appenders. Torn tails are tolerated exactly as readJournal does.
-func readGridJournal(path string) (Format, gridHeader, map[GridKey]GridInstance, int64, error) {
-	format, raw, records, validLen, err := readJournalRecords(path)
+// readGridJournal loads a grid journal file of either format without
+// modifying it, and returns it with its intact-prefix length.
+func readGridJournal(path string) (*GridJournal, int64, error) {
+	j := &GridJournal{}
+	validLen, err := j.load(gridSchema, path)
 	if err != nil {
-		return 0, gridHeader{}, nil, 0, err
+		return nil, 0, err
 	}
-	header, err := parseGridHeader(path, raw)
-	if err != nil {
-		return 0, gridHeader{}, nil, 0, err
-	}
-	done := map[GridKey]GridInstance{}
-	intern := map[string]string{}
-	for i, rec := range records {
-		inst, err := decodeGridEntry(format, rec.payload, intern)
-		if err != nil {
-			if i == len(records)-1 {
-				// Torn tail: drop the damaged final record, as the sweep
-				// journal does.
-				if i == 0 {
-					validLen = headerEnd(format, raw)
-				} else {
-					validLen = records[i-1].end
-				}
-				break
-			}
-			return 0, gridHeader{}, nil, 0, fmt.Errorf("%s: bad journal record %d: %w", path, i+1, err)
-		}
-		done[inst.Key()] = inst
-	}
-	return format, header, done, validLen, nil
+	return j, validLen, nil
 }
 
 // OpenGridJournal reopens an existing journal for appending, dropping a
-// crash-torn tail. The journal's spec must match the campaign exactly.
+// crash-torn tail. The journal's spec must match the campaign exactly;
+// a journal of another campaign is left untouched.
 func OpenGridJournal(path string, g *GridSweep) (*GridJournal, error) {
-	format, header, done, validLen, err := readGridJournal(path)
+	j, validLen, err := readGridJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	j := &GridJournal{format: format, path: path, header: header, done: done}
 	if err := j.matches(g); err != nil {
 		return nil, err
 	}
-	w, err := openRecordAppender(path, format, validLen)
-	if err != nil {
+	if err := j.reopen(validLen); err != nil {
 		return nil, err
 	}
-	j.w = w
 	return j, nil
 }
 
@@ -195,26 +168,6 @@ func (j *GridJournal) matches(g *GridSweep) error {
 	if !reflect.DeepEqual(j.header.Spec, g.Spec()) {
 		return fmt.Errorf("%s: journal belongs to a different grid campaign", j.path)
 	}
-	return nil
-}
-
-// Append journals one completed instance.
-func (j *GridJournal) Append(inst GridInstance) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.format == FormatBinary {
-		j.buf = appendBinaryGridEntry(j.buf[:0], inst)
-	} else {
-		b, err := json.Marshal(inst)
-		if err != nil {
-			return err
-		}
-		j.buf = b
-	}
-	if err := j.w.AppendRecord(j.buf); err != nil {
-		return err
-	}
-	j.done[inst.Key()] = inst
 	return nil
 }
 
@@ -229,54 +182,34 @@ func (j *GridJournal) Done() map[GridKey]GridInstance {
 	return done
 }
 
-// Path returns the journal's file path.
-func (j *GridJournal) Path() string { return j.path }
-
-// Format returns the journal's on-disk format.
-func (j *GridJournal) Format() Format { return j.format }
-
-// Close closes the journal file.
-func (j *GridJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.w == nil {
-		return nil
-	}
-	err := j.w.Close()
-	j.w = nil
-	return err
-}
-
 // ResumeGrid completes a journaled online campaign: the sweep comes from
 // the header, journaled instances replay, and only missing ones run.
 // The result is bit-identical to an uninterrupted run (instances are
 // deterministic and canonically sorted).
 func ResumeGrid(ctx context.Context, path string, opt GridRunOptions) (*GridResult, error) {
-	_, header, _, _, err := readGridJournal(path)
+	j, validLen, err := readGridJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	g := header.Spec.Sweep()
-	j, err := OpenGridJournal(path, &g)
-	if err != nil {
+	if err := j.reopen(validLen); err != nil {
 		return nil, err
 	}
 	defer j.Close()
 	opt.Journal = j
-	return RunGridContext(ctx, g, opt)
+	return RunGridContext(ctx, j.header.Spec.Sweep(), opt)
 }
 
 // LoadGridJournal loads a journal read-only into a (possibly partial)
 // result, without running anything.
 func LoadGridJournal(path string) (*GridResult, error) {
-	_, header, done, _, err := readGridJournal(path)
+	j, _, err := readGridJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	instances := make([]GridInstance, 0, len(done))
-	for _, inst := range done {
+	instances := make([]GridInstance, 0, len(j.done))
+	for _, inst := range j.done {
 		instances = append(instances, inst)
 	}
 	sortGridInstances(instances)
-	return &GridResult{Sweep: header.Spec.Sweep(), Instances: instances}, nil
+	return &GridResult{Sweep: j.header.Spec.Sweep(), Instances: instances}, nil
 }

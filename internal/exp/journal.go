@@ -110,7 +110,10 @@ func (sp SweepSpec) sweepDims() Sweep {
 
 // journalHeader is the first line of every journal file.
 type journalHeader struct {
-	V     int       `json:"v"`
+	V int `json:"v"`
+	// Kind is empty for sweep journals; it is decoded only so a grid
+	// journal (gridJournalKind) is not mistaken for one.
+	Kind  string    `json:"kind,omitempty"`
 	Spec  SweepSpec `json:"spec"`
 	Shard Shard     `json:"shard"`
 }
@@ -151,33 +154,141 @@ func entryOf(inst InstanceResult) journalEntry {
 	}
 }
 
+// journalSchema is what sets one journal kind apart: how its header
+// validates, and how its records encode and decode.
+type journalSchema[H, R any] struct {
+	parseHeader func(path string, raw []byte) (H, error)
+	encode      func(b []byte, format Format, r R) ([]byte, error)
+	decode      func(format Format, payload []byte, intern map[string]string) (R, error)
+}
+
+// journalCore is the machinery Journal and GridJournal share: a record
+// log (recordlog.go) of header H and records R, with the recorded set
+// deduplicated by each record's key K.
+type journalCore[H any, K comparable, R interface{ Key() K }] struct {
+	mu     sync.Mutex
+	schema *journalSchema[H, R]
+	w      *RecordWriter
+	format Format
+	path   string
+	header H
+	done   map[K]R
+	buf    []byte // record encode buffer, reused across appends
+}
+
+// create starts a new journal file stamped with header. It refuses to
+// clobber an existing file.
+func (c *journalCore[H, K, R]) create(schema *journalSchema[H, R], path string, format Format, header H) error {
+	raw, err := json.Marshal(header)
+	if err != nil {
+		return err
+	}
+	w, err := CreateRecordLog(path, format, raw)
+	if err != nil {
+		return err
+	}
+	c.schema, c.w, c.format, c.path, c.header, c.done = schema, w, format, path, header, map[K]R{}
+	return nil
+}
+
+// load reads a journal file of either format without modifying it,
+// tolerating a torn tail (recordlog.go), and returns the intact-prefix
+// length for reopen.
+func (c *journalCore[H, K, R]) load(schema *journalSchema[H, R], path string) (int64, error) {
+	c.schema, c.path, c.done = schema, path, map[K]R{}
+	intern := map[string]string{}
+	return ScanRecords(path,
+		func(format Format, raw []byte) (err error) {
+			c.format = format
+			c.header, err = schema.parseHeader(path, raw)
+			return err
+		},
+		func(payload []byte) error {
+			r, err := schema.decode(c.format, payload, intern)
+			if err != nil {
+				return err
+			}
+			c.done[r.Key()] = r
+			return nil
+		})
+}
+
+// reopen positions a loaded journal for appending at validLen,
+// truncating the torn tail.
+func (c *journalCore[H, K, R]) reopen(validLen int64) error {
+	w, err := OpenRecordLog(c.path, c.format, validLen)
+	if err != nil {
+		return fmt.Errorf("exp: open journal for append: %w", err)
+	}
+	c.w = w
+	return nil
+}
+
+// Path returns the journal's file path.
+func (c *journalCore[H, K, R]) Path() string { return c.path }
+
+// Format returns the journal's on-disk format.
+func (c *journalCore[H, K, R]) Format() Format { return c.format }
+
+// Append records one completed instance, written to the file before it
+// returns.
+func (c *journalCore[H, K, R]) Append(r R) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b, err := c.schema.encode(c.buf[:0], c.format, r)
+	if err != nil {
+		return fmt.Errorf("exp: %w", err)
+	}
+	c.buf = b
+	if err := c.w.AppendRecord(b); err != nil {
+		return fmt.Errorf("exp: %w", err)
+	}
+	c.done[r.Key()] = r
+	return nil
+}
+
+// Close closes the journal file; closing again is a no-op.
+func (c *journalCore[H, K, R]) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.w == nil {
+		return nil
+	}
+	err := c.w.Close()
+	c.w = nil
+	return err
+}
+
 // Journal is an append-only record of a campaign's completed instances:
 // a header record stamping the campaign spec (and shard), then one
 // record per instance, in either the JSONL or the binary format
-// (codec.go). Every Append is written and flushed immediately, so a
+// (recordlog.go). Every Append is written before it returns, so a
 // crash loses at most the record being written — and OpenJournal
 // tolerates exactly that torn tail. The journal file is the unit of
 // resume (exp.Resume) and of cross-machine recombination (exp.Merge);
 // readers sniff the format, so both formats resume and merge freely.
 type Journal struct {
-	mu     sync.Mutex
-	w      recordAppender
-	format Format
-	path   string
-	header journalHeader
-	done   map[Key]InstanceResult
-	buf    []byte // entry encode buffer, reused across appends
+	journalCore[journalHeader, Key, InstanceResult]
 }
 
-// CreateJournal starts a new JSONL journal for the sweep (shard is the
-// slice stamp; the zero Shard means the whole campaign). It fails if the
-// file already exists — open an existing journal with OpenJournal to
-// resume.
-func CreateJournal(path string, sweep Sweep, shard Shard) (*Journal, error) {
-	return CreateJournalFormat(path, sweep, shard, FormatJSONL)
+var sweepSchema = &journalSchema[journalHeader, InstanceResult]{
+	parseHeader: parseJournalHeader,
+	encode: func(b []byte, format Format, inst InstanceResult) ([]byte, error) {
+		if format == FormatBinary {
+			return appendBinaryEntry(b, entryOf(inst)), nil
+		}
+		return json.Marshal(entryOf(inst))
+	},
+	decode: func(format Format, payload []byte, intern map[string]string) (InstanceResult, error) {
+		e, err := decodeJournalEntry(format, payload, intern)
+		return e.instance(), err
+	},
 }
 
-// CreateJournalFormat is CreateJournal with an explicit on-disk format.
+// CreateJournalFormat starts a new journal for the sweep in the given
+// on-disk format (shard is the slice stamp; the zero Shard means the
+// whole campaign). It fails if the file already exists — open an
+// existing journal with OpenJournal to resume.
 func CreateJournalFormat(path string, sweep Sweep, shard Shard, format Format) (*Journal, error) {
 	if err := sweep.Validate(); err != nil {
 		return nil, err
@@ -185,12 +296,12 @@ func CreateJournalFormat(path string, sweep Sweep, shard Shard, format Format) (
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
+	j := &Journal{}
 	header := journalHeader{V: 1, Spec: sweep.Spec(), Shard: shard.normalize()}
-	w, err := createRecordLog(path, format, header)
-	if err != nil {
+	if err := j.create(sweepSchema, path, format, header); err != nil {
 		return nil, fmt.Errorf("exp: create journal: %w", err)
 	}
-	return &Journal{w: w, format: format, path: path, header: header, done: map[Key]InstanceResult{}}, nil
+	return j, nil
 }
 
 // decodeJournalEntry decodes one record payload in the given format.
@@ -212,93 +323,39 @@ func parseJournalHeader(path string, raw []byte) (journalHeader, error) {
 	if header.V != 1 {
 		return journalHeader{}, fmt.Errorf("exp: journal %s has unknown version %d", path, header.V)
 	}
+	if header.Kind != "" {
+		return journalHeader{}, fmt.Errorf("exp: journal %s is a %q journal, not a sweep journal", path, header.Kind)
+	}
 	header.Shard = header.Shard.normalize()
 	return header, nil
 }
 
-// readJournal parses a journal file of either format without modifying
-// it. A torn tail — the damage a crash can leave — is tolerated whatever
-// its shape: a record cut short mid-write (dropped by the framing
-// layer), or a final record that frames correctly but fails to parse (a
-// zero-filled or garbled block from filesystem crash recovery). Either
-// way the intact prefix ends before it, and validLen reports where, so
-// an appender can truncate the tear away. A corrupt record before the
-// tail is still an error — the journal is append-only, so damage there
-// means the file was tampered with.
-func readJournal(path string) (Format, journalHeader, map[Key]InstanceResult, int64, error) {
-	format, headerRaw, records, validLen, err := readJournalRecords(path)
+// readJournal loads a sweep journal file of either format without
+// modifying it, and returns it with its intact-prefix length.
+func readJournal(path string) (*Journal, int64, error) {
+	j := &Journal{}
+	validLen, err := j.load(sweepSchema, path)
 	if err != nil {
-		return 0, journalHeader{}, nil, 0, fmt.Errorf("exp: open journal: %w", err)
+		return nil, 0, err
 	}
-	header, err := parseJournalHeader(path, headerRaw)
-	if err != nil {
-		return 0, journalHeader{}, nil, 0, err
-	}
-	done := make(map[Key]InstanceResult, len(records))
-	intern := map[string]string{}
-	for i, rec := range records {
-		e, err := decodeJournalEntry(format, rec.payload, intern)
-		if err != nil {
-			if i == len(records)-1 {
-				// Torn tail: exclude the record from the intact prefix.
-				// The instance it would have recorded is simply re-run on
-				// resume, or covered by an overlapping journal on merge.
-				if i == 0 {
-					validLen = headerEnd(format, headerRaw)
-				} else {
-					validLen = records[i-1].end
-				}
-				break
-			}
-			return 0, journalHeader{}, nil, 0, fmt.Errorf("exp: journal %s record %d: %w", path, i+2, err)
-		}
-		inst := e.instance()
-		done[inst.Key()] = inst
-	}
-	return format, header, done, validLen, nil
-}
-
-// headerEnd returns the file offset just past the header record.
-func headerEnd(format Format, headerRaw []byte) int64 {
-	if format == FormatBinary {
-		n := int64(len(headerRaw))
-		return int64(binHeaderLen) + int64(uvarintLen(uint64(n))) + n + 4
-	}
-	return int64(len(headerRaw)) + 1
-}
-
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return j, validLen, nil
 }
 
 // OpenJournal opens an existing journal for resuming: it sniffs the
 // format, loads the header and every recorded instance, truncates a torn
-// final record (the signature of a mid-write crash), and positions the
-// file for appending. Read-only consumers (aggregation, merging) should
-// use LoadJournal instead, which never writes.
+// tail (the signature of a mid-write crash), and positions the file for
+// appending. Read-only consumers (aggregation, merging) should use
+// LoadJournal instead, which never writes.
 func OpenJournal(path string) (*Journal, error) {
-	format, header, done, validLen, err := readJournal(path)
+	j, validLen, err := readJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	w, err := openRecordAppender(path, format, validLen)
-	if err != nil {
-		return nil, fmt.Errorf("exp: open journal for append: %w", err)
+	if err := j.reopen(validLen); err != nil {
+		return nil, err
 	}
-	return &Journal{w: w, format: format, path: path, header: header, done: done}, nil
+	return j, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Format returns the journal's on-disk format.
-func (j *Journal) Format() Format { return j.format }
 
 // Spec returns the campaign identity stamped in the header.
 func (j *Journal) Spec() SweepSpec { return j.header.Spec }
@@ -327,34 +384,6 @@ func (j *Journal) Instances() []InstanceResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return sortedInstances(j.done)
-}
-
-// Append records one completed instance, immediately flushed to disk.
-func (j *Journal) Append(inst InstanceResult) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e := entryOf(inst)
-	if j.format == FormatBinary {
-		j.buf = appendBinaryEntry(j.buf[:0], e)
-	} else {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-		j.buf = b
-	}
-	if err := j.w.AppendRecord(j.buf); err != nil {
-		return fmt.Errorf("exp: %w", err)
-	}
-	j.done[inst.Key()] = inst
-	return nil
-}
-
-// Close closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.w.Close()
 }
 
 // matches verifies that the journal belongs to this sweep and shard, so a
@@ -408,11 +437,11 @@ func ResumeWith(ctx context.Context, journalPath string, opts RunOptions) (*Resu
 // exp.Merge when recombining shard journals. The Result's Sweep carries
 // the journaled dimensions (models stay name-only inside the instances).
 func LoadJournal(path string) (*Result, Shard, error) {
-	_, header, done, _, err := readJournal(path)
+	j, _, err := readJournal(path)
 	if err != nil {
 		return nil, Shard{}, err
 	}
-	return &Result{Sweep: header.Spec.sweepDims(), Instances: sortedInstances(done)}, header.Shard, nil
+	return &Result{Sweep: j.header.Spec.sweepDims(), Instances: sortedInstances(j.done)}, j.header.Shard, nil
 }
 
 // sortedInstances flattens a key-indexed instance set into canonical

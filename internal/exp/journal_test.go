@@ -42,7 +42,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	// The interrupted run: a sink that fails after a third of the
 	// instances simulates a crash; everything journaled so far survives.
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := CreateJournal(path, s, Shard{})
+	j, err := CreateJournalFormat(path, s, Shard{}, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 	path := filepath.Join(t.TempDir(), "done.journal")
-	j, err := CreateJournal(path, s, Shard{})
+	j, err := CreateJournalFormat(path, s, Shard{}, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 func TestJournalSpecMismatch(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 	path := filepath.Join(t.TempDir(), "a.journal")
-	j, err := CreateJournal(path, s, Shard{})
+	j, err := CreateJournalFormat(path, s, Shard{}, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestJournalSpecMismatch(t *testing.T) {
 func TestJournalCorruptMiddleRejected(t *testing.T) {
 	s := tinySweep([]string{"IE"})
 	path := filepath.Join(t.TempDir(), "corrupt.journal")
-	j, err := CreateJournal(path, s, Shard{})
+	j, err := CreateJournalFormat(path, s, Shard{}, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 	runShard := func(dir string, name string, sh Shard) string {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		j, err := CreateJournal(path, s, sh)
+		j, err := CreateJournalFormat(path, s, sh, FormatJSONL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,17 +316,17 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 }
 
 // TestCreateJournalRefusesExisting: resuming goes through OpenJournal;
-// CreateJournal never clobbers history.
+// CreateJournalFormat never clobbers history.
 func TestCreateJournalRefusesExisting(t *testing.T) {
 	s := tinySweep([]string{"IE"})
 	path := filepath.Join(t.TempDir(), "x.journal")
-	j, err := CreateJournal(path, s, Shard{})
+	j, err := CreateJournalFormat(path, s, Shard{}, FormatJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, err := CreateJournal(path, s, Shard{}); err == nil {
-		t.Fatal("CreateJournal overwrote an existing journal")
+	if _, err := CreateJournalFormat(path, s, Shard{}, FormatJSONL); err == nil {
+		t.Fatal("CreateJournalFormat overwrote an existing journal")
 	}
 }
 

@@ -154,16 +154,16 @@ func MergeJournals(paths ...string) (*Result, error) {
 	var baseSpec SweepSpec
 	results := make([]*Result, 0, len(paths))
 	for i, p := range paths {
-		_, header, done, _, err := readJournal(p)
+		j, _, err := readJournal(p)
 		if err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			baseSpec = header.Spec
-		} else if !reflect.DeepEqual(header.Spec, baseSpec) {
+			baseSpec = j.header.Spec
+		} else if !reflect.DeepEqual(j.header.Spec, baseSpec) {
 			return nil, fmt.Errorf("exp: journal %s records a different campaign than %s", p, paths[0])
 		}
-		results = append(results, &Result{Sweep: header.Spec.sweepDims(), Instances: sortedInstances(done)})
+		results = append(results, &Result{Sweep: j.header.Spec.sweepDims(), Instances: sortedInstances(j.done)})
 	}
 	merged, err := Merge(results...)
 	if err != nil {

@@ -89,7 +89,7 @@ func TestShardedJournalsMergeToFullRun(t *testing.T) {
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, "shard.journal."+string(rune('0'+i)))
 		sh := Shard{Index: i, Count: n}
-		j, err := CreateJournal(path, s, sh)
+		j, err := CreateJournalFormat(path, s, sh, FormatJSONL)
 		if err != nil {
 			t.Fatal(err)
 		}

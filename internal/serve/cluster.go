@@ -88,7 +88,7 @@ func openOrCreateJournal(path string, sweep tightsched.Sweep, format tightsched.
 	if _, err := os.Stat(path); err == nil {
 		return tightsched.OpenSweepJournal(path)
 	}
-	return tightsched.CreateSweepJournalFormat(path, sweep, tightsched.SweepShard{}, format)
+	return tightsched.CreateSweepJournal(path, sweep, tightsched.SweepShard{}, format)
 }
 
 // runClusterCampaign owns one cluster campaign: it starts (or resumes)

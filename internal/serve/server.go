@@ -269,7 +269,7 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign) {
 	var journal *tightsched.SweepJournal
 	if c.journalPath != "" {
 		var err error
-		journal, err = tightsched.CreateSweepJournalFormat(c.journalPath, c.Spec.Sweep, c.Spec.Shard, c.Spec.Format)
+		journal, err = tightsched.CreateSweepJournal(c.journalPath, c.Spec.Sweep, c.Spec.Shard, c.Spec.Format)
 		if err != nil {
 			c.finish(ctx, err, nil, time.Now().UTC())
 			return
@@ -317,7 +317,7 @@ func (s *Server) runGridCampaign(ctx context.Context, c *Campaign) {
 	var journal *tightsched.OnlineJournal
 	if c.journalPath != "" {
 		var err error
-		journal, err = tightsched.CreateOnlineJournalFormat(c.journalPath, g, c.Spec.Format)
+		journal, err = tightsched.CreateOnlineJournal(c.journalPath, g, c.Spec.Format)
 		if err != nil {
 			c.finish(ctx, err, nil, time.Now().UTC())
 			return

@@ -17,6 +17,7 @@ import (
 
 	"tightsched"
 	"tightsched/internal/app"
+	"tightsched/internal/core"
 	"tightsched/internal/exp"
 	"tightsched/internal/markov"
 	"tightsched/internal/sched"
@@ -72,7 +73,7 @@ func cancelResume(t *testing.T, sweep tightsched.Sweep) {
 	// The interrupted run: two workers so completions trickle, a
 	// progress hook that pulls the plug a third of the way in.
 	path := filepath.Join(t.TempDir(), "cancelled.journal")
-	j, err := tightsched.CreateSweepJournal(path, sweep, tightsched.SweepShard{})
+	j, err := tightsched.CreateSweepJournal(path, sweep, tightsched.SweepShard{}, tightsched.JournalJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestSessionRunCancelled(t *testing.T) {
 }
 
 // TestSessionOptionParity: the functional-option path must reproduce the
-// deprecated struct-options path bit for bit — the Session API is a
+// struct-options core it configures bit for bit — the Session API is a
 // reshaping, not a semantic change.
 func TestSessionOptionParity(t *testing.T) {
 	ctx := context.Background()
@@ -174,7 +175,7 @@ func TestSessionOptionParity(t *testing.T) {
 	session := tightsched.NewSession(tightsched.WithCap(200_000))
 	for _, h := range []string{"IE", "Y-IE", "RANDOM"} {
 		for _, seed := range []uint64{1, 7} {
-			oldRes, err := tightsched.Run(sc, h, tightsched.Options{Seed: seed, Cap: 200_000})
+			oldRes, err := core.Run(sc, h, core.Options{Seed: seed, Cap: 200_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,12 +184,12 @@ func TestSessionOptionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if oldRes != newRes {
-				t.Fatalf("%s seed %d: session %+v != deprecated %+v", h, seed, newRes, oldRes)
+				t.Fatalf("%s seed %d: session %+v != core %+v", h, seed, newRes, oldRes)
 			}
 		}
 	}
 
-	oldSums, err := tightsched.Compare(sc, []string{"IE", "Y-IE"}, 3, 5, tightsched.Options{Cap: 100_000})
+	oldSums, err := core.Compare(sc, []string{"IE", "Y-IE"}, 3, 5, core.Options{Cap: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestSessionOptionParity(t *testing.T) {
 	}
 	for i := range oldSums {
 		if oldSums[i] != newSums[i] {
-			t.Fatalf("summary %d: session %+v != deprecated %+v", i, newSums[i], oldSums[i])
+			t.Fatalf("summary %d: session %+v != core %+v", i, newSums[i], oldSums[i])
 		}
 	}
 }
@@ -504,7 +505,7 @@ func TestRegisteredModelEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	path := filepath.Join(t.TempDir(), "custom-model.journal")
-	j, err := tightsched.CreateSweepJournal(path, sweep, tightsched.SweepShard{})
+	j, err := tightsched.CreateSweepJournal(path, sweep, tightsched.SweepShard{}, tightsched.JournalJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +591,7 @@ func TestStreamReplayEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "half.journal")
-	j, err := tightsched.CreateSweepJournal(path, sweep, shard)
+	j, err := tightsched.CreateSweepJournal(path, sweep, shard, tightsched.JournalJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -763,7 +764,7 @@ func TestSessionRunOnline(t *testing.T) {
 
 	// Journal + cancel mid-campaign, then resume byte-identically.
 	path := filepath.Join(t.TempDir(), "grid.journal")
-	j, err := tightsched.CreateOnlineJournal(path, onlineGridFromResult(res))
+	j, err := tightsched.CreateOnlineJournal(path, onlineGridFromResult(res), tightsched.JournalJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}

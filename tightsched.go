@@ -36,8 +36,7 @@
 // configuration flows through functional options (WithSeed, WithModel,
 // WithJournal, ...), campaigns stream typed events (Session.Stream,
 // Observer), and new heuristics/availability models plug in by name via
-// RegisterHeuristic/RegisterModel. The struct-options functions kept in
-// this file are deprecated shims over the same implementations.
+// RegisterHeuristic/RegisterModel.
 //
 // See the examples/ directory and DESIGN.md for the full tour.
 package tightsched
@@ -141,9 +140,7 @@ func ModelByName(name string) (AvailabilityModel, error) { return avail.Builtin(
 
 // Simulation types.
 type (
-	// Options tune a single run.
-	Options = core.Options
-	// AnalyticOptions tune the Section V evaluator (Options.Analytic):
+	// AnalyticOptions tune the Section V evaluator (WithAnalytic):
 	// membership-keyed set-statistics memoization is on by default
 	// (canonical values — every evaluation of a set returns the same
 	// floats, and golden simulations match the memo-disabled path byte
@@ -153,7 +150,7 @@ type (
 	// Result is the outcome of one run.
 	Result = sim.Result
 	// TimeAdvance selects the simulator's time-advance core
-	// (WithTimeAdvance / Options.Advance / Sweep.Advance).
+	// (WithTimeAdvance / Sweep.Advance).
 	TimeAdvance = sim.TimeAdvance
 	// Recorder captures execution traces (see Figure 1), run-length
 	// encoded: memory scales with availability/activity transitions, not
@@ -162,7 +159,7 @@ type (
 	// TraceStep is one reconstructed slot of a recorded trace.
 	TraceStep = trace.Step
 	// Heuristic is the scheduling-policy interface; implement it to plug
-	// a custom policy into the simulator via Options.Custom.
+	// a custom policy into the simulator via WithCustomHeuristic.
 	Heuristic = sched.Heuristic
 	// HeuristicSummary aggregates one heuristic's results over trials.
 	HeuristicSummary = core.HeuristicSummary
@@ -178,9 +175,6 @@ type (
 	SweepResult = exp.Result
 	// TableRow is one line of Table I / Table II.
 	TableRow = exp.TableRow
-	// SweepOptions tune campaign execution: journaling, resuming,
-	// sharding, and streaming consumption.
-	SweepOptions = exp.RunOptions
 	// SweepJournal is an append-only on-disk record of a campaign's
 	// completed instances — the unit of resume and shard recombination.
 	SweepJournal = exp.Journal
@@ -188,7 +182,7 @@ type (
 	// grid (shard i of n; the zero value is the whole campaign).
 	SweepShard = exp.Shard
 	// SweepInstance is one (model, point, trial, heuristic) outcome —
-	// what a SweepOptions.Sink receives and a journal records.
+	// what a WithSink callback receives and a journal records.
 	SweepInstance = exp.InstanceResult
 	// SweepKey is an instance's unique campaign coordinate.
 	SweepKey = exp.Key
@@ -234,71 +228,23 @@ func Heuristics() []string { return sched.Registered() }
 // fresh copy.
 func PaperHeuristics() []string { return core.Heuristics() }
 
-// Run simulates a scenario under the named heuristic.
-//
-// Deprecated: use Session.Run, which adds cancellation and functional
-// options. This shim is kept for the golden tests' frozen entry points.
-func Run(sc Scenario, heuristic string, opt Options) (Result, error) {
-	return core.Run(sc, heuristic, opt)
-}
-
-// Compare runs several heuristics over shared availability realizations.
-//
-// Deprecated: use Session.Compare.
-func Compare(sc Scenario, heuristics []string, trials int, baseSeed uint64, opt Options) ([]HeuristicSummary, error) {
-	return core.Compare(sc, heuristics, trials, baseSeed, opt)
-}
-
-// Estimate computes P⁺, success probability and conditional expected
-// duration for a worker set executing w coupled compute slots.
-//
-// Deprecated: use Session.Estimate.
-func Estimate(sc Scenario, workers []int, w int) (SetEstimate, error) {
-	return core.Estimate(sc, workers, w)
-}
-
 // PaperSweep returns the full Section VII campaign for m tasks.
 func PaperSweep(m int) Sweep { return exp.PaperSweep(m) }
 
 // QuickSweep returns a reduced campaign preserving the sweep's shape.
 func QuickSweep(m int) Sweep { return exp.QuickSweep(m) }
 
-// RunSweep executes a campaign (in parallel; deterministic).
-//
-// Deprecated: use Session.RunSweep (cancellation, functional options) or
-// Session.Stream (typed events instead of a callback).
-func RunSweep(sweep Sweep, progress func(done, total int)) (*SweepResult, error) {
-	return exp.Run(sweep, progress)
-}
-
-// RunSweepWith executes a campaign with journal/resume/shard/streaming
-// options: completed instances stream to the journal and sink as they
-// finish, so an interrupted campaign loses only in-flight work and a
-// sharded one can run as n disjoint jobs.
-//
-// Deprecated: use Session.RunSweep with WithJournal/WithShard/WithSink.
-func RunSweepWith(sweep Sweep, opts SweepOptions) (*SweepResult, error) {
-	return exp.RunWith(sweep, opts)
-}
-
-// CreateSweepJournal starts a new journal for the sweep (shard is the
-// slice stamp; the zero SweepShard means the whole campaign).
-func CreateSweepJournal(path string, sweep Sweep, shard SweepShard) (*SweepJournal, error) {
-	return exp.CreateJournal(path, sweep, shard)
+// CreateSweepJournal starts a new journal for the sweep in the given
+// on-disk encoding (shard is the slice stamp; the zero SweepShard means
+// the whole campaign). It refuses to clobber an existing file.
+func CreateSweepJournal(path string, sweep Sweep, shard SweepShard, format JournalFormat) (*SweepJournal, error) {
+	return exp.CreateJournalFormat(path, sweep, shard, format)
 }
 
 // OpenSweepJournal opens an existing journal for resuming, tolerating a
 // crash-torn final line.
 func OpenSweepJournal(path string) (*SweepJournal, error) {
 	return exp.OpenJournal(path)
-}
-
-// ResumeSweep continues an interrupted journaled campaign from its file
-// alone; the result is bit-identical to an uninterrupted run's.
-//
-// Deprecated: use Session.ResumeSweep.
-func ResumeSweep(journalPath string, progress func(done, total int)) (*SweepResult, error) {
-	return exp.Resume(journalPath, progress)
 }
 
 // MergeSweepJournals recombines shard journals of one campaign into one
@@ -323,12 +269,6 @@ const (
 // ParseJournalFormat parses a format name: "" or "jsonl" → JournalJSONL,
 // "binary" (or "bin") → JournalBinary.
 func ParseJournalFormat(s string) (JournalFormat, error) { return exp.ParseFormat(s) }
-
-// CreateSweepJournalFormat is CreateSweepJournal with an explicit on-disk
-// encoding.
-func CreateSweepJournalFormat(path string, sweep Sweep, shard SweepShard, format JournalFormat) (*SweepJournal, error) {
-	return exp.CreateJournalFormat(path, sweep, shard, format)
-}
 
 // ConvertJournal rewrites a journal (sweep or online — the header
 // decides) into the requested format at dst, streaming record by record.
@@ -468,10 +408,10 @@ func ParseOnlineTrace(data []byte) ([]OnlineEntry, error) { return grid.ParseTra
 // LoadOnlineTrace reads a JSONL arrival trace file (see ParseOnlineTrace).
 func LoadOnlineTrace(path string) ([]OnlineEntry, error) { return grid.LoadTrace(path) }
 
-// CreateOnlineJournal starts a new journal for the online campaign,
-// refusing to clobber an existing file.
-func CreateOnlineJournal(path string, g OnlineSweep) (*OnlineJournal, error) {
-	return exp.CreateGridJournal(path, &g)
+// CreateOnlineJournal starts a new journal for the online campaign in
+// the given on-disk encoding, refusing to clobber an existing file.
+func CreateOnlineJournal(path string, g OnlineSweep, format JournalFormat) (*OnlineJournal, error) {
+	return exp.CreateGridJournalFormat(path, &g, format)
 }
 
 // OpenOnlineJournal reopens an existing grid journal for appending,
@@ -479,12 +419,6 @@ func CreateOnlineJournal(path string, g OnlineSweep) (*OnlineJournal, error) {
 // Both encodings reopen transparently.
 func OpenOnlineJournal(path string, g OnlineSweep) (*OnlineJournal, error) {
 	return exp.OpenGridJournal(path, &g)
-}
-
-// CreateOnlineJournalFormat is CreateOnlineJournal with an explicit
-// on-disk encoding.
-func CreateOnlineJournalFormat(path string, g OnlineSweep, format JournalFormat) (*OnlineJournal, error) {
-	return exp.CreateGridJournalFormat(path, &g, format)
 }
 
 // FormatTableIV renders aggregated online rows in the Table IV layout.

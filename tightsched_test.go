@@ -1,6 +1,7 @@
 package tightsched_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,7 +14,8 @@ import (
 func TestFacadeRun(t *testing.T) {
 	sc := tightsched.PaperScenario(4, 10, 1, 5)
 	rec := &tightsched.Recorder{}
-	res, err := tightsched.Run(sc, "Y-IE", tightsched.Options{Seed: 2, Cap: 100000, Recorder: rec})
+	res, err := tightsched.NewSession().Run(context.Background(), sc, "Y-IE",
+		tightsched.WithSeed(2), tightsched.WithCap(100000), tightsched.WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestFacadeCustomScenario(t *testing.T) {
 		Platform: &tightsched.Platform{Procs: procs, Ncom: 3},
 		App:      tightsched.Application{Tasks: 4, Tprog: 3, Tdata: 1, Iterations: 3},
 	}
-	res, err := tightsched.Run(sc, "E-IAY", tightsched.Options{Seed: 1, Cap: 100000})
+	res, err := tightsched.NewSession().Run(context.Background(), sc, "E-IAY", tightsched.WithSeed(1), tightsched.WithCap(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +85,15 @@ func TestFacadeCustomScenario(t *testing.T) {
 
 func TestFacadeEstimateAndCompare(t *testing.T) {
 	sc := tightsched.PaperScenario(3, 10, 1, 8)
-	est, err := tightsched.Estimate(sc, []int{0, 1}, 4)
+	est, err := tightsched.NewSession().Estimate(context.Background(), sc, []int{0, 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Pplus <= 0 || est.Pplus >= 1 {
 		t.Fatalf("estimate: %+v", est)
 	}
-	sums, err := tightsched.Compare(sc, []string{"IE", "Y-IE"}, 2, 3, tightsched.Options{Cap: 50000})
+	sums, err := tightsched.NewSession().Compare(context.Background(), sc, []string{"IE", "Y-IE"}, 2,
+		tightsched.WithSeed(3), tightsched.WithCap(50000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestFacadeSweep(t *testing.T) {
 	sweep.Trials = 1
 	sweep.Heuristics = []string{"IE", "RANDOM"}
 	sweep.Cap = 50000
-	res, err := tightsched.RunSweep(sweep, nil)
+	res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +150,14 @@ func TestFacadeAvailabilityModels(t *testing.T) {
 }
 
 // TestFacadeNonMarkovRun drives a semi-Markov ground truth through the
-// façade: Options.Model selects the model, the heuristics believe its
+// façade: WithModel selects the model, the heuristics believe its
 // fitted matrices, and the run still completes.
 func TestFacadeNonMarkovRun(t *testing.T) {
 	sc := tightsched.PaperScenario(4, 10, 1, 5)
 	model := tightsched.NewSemiMarkovModel(0.8)
 	model.CalibrationSlots = 2_000
-	res, err := tightsched.Run(sc, "Y-IE", tightsched.Options{Seed: 2, Cap: 200_000, Model: model})
+	res, err := tightsched.NewSession().Run(context.Background(), sc, "Y-IE",
+		tightsched.WithSeed(2), tightsched.WithCap(200_000), tightsched.WithModel(model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestFacadeNonMarkovRun(t *testing.T) {
 		t.Fatalf("non-Markov run: %+v", res)
 	}
 	// The same seed under Markov ground truth is a different realization.
-	ref, err := tightsched.Run(sc, "Y-IE", tightsched.Options{Seed: 2, Cap: 200_000})
+	ref, err := tightsched.NewSession().Run(context.Background(), sc, "Y-IE", tightsched.WithSeed(2), tightsched.WithCap(200_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestFacadeSweepNonMarkov(t *testing.T) {
 	model := tightsched.NewSemiMarkovModel(0.6)
 	model.CalibrationSlots = 2_000
 	sweep.Models = []tightsched.AvailabilityModel{model}
-	res, err := tightsched.RunSweep(sweep, nil)
+	res, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +219,7 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 	sweep.Heuristics = []string{"IE", "RANDOM"}
 	sweep.Cap = 50000
 
-	full, err := tightsched.RunSweep(sweep, nil)
+	full, err := tightsched.NewSession().RunSweep(context.Background(), sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +231,11 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := tightsched.CreateSweepJournal(path, sweep, shard)
+		j, err := tightsched.CreateSweepJournal(path, sweep, shard, tightsched.JournalJSONL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tightsched.RunSweepWith(sweep, tightsched.SweepOptions{Journal: j, Shard: shard}); err != nil {
+		if _, err := tightsched.NewSession().RunSweep(context.Background(), sweep, tightsched.WithJournal(j), tightsched.WithShard(shard)); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -251,7 +255,7 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 	}
 
 	// A complete shard journal resumes as pure replay.
-	res, err := tightsched.ResumeSweep(paths[0], nil)
+	res, err := tightsched.NewSession().ResumeSweep(context.Background(), paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
