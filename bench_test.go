@@ -47,7 +47,7 @@ func miniSweep(m int) exp.Sweep {
 func BenchmarkTableI(b *testing.B) {
 	sweep := miniSweep(5)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.RunWithContext(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkTableII(b *testing.B) {
 	sweep := miniSweep(10)
 	sweep.Heuristics = []string{"Y-IE", "P-IE", "E-IAY", "E-IY", "E-IP", "IAY", "IY", "IE"}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.RunWithContext(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkFigure2(b *testing.B) {
 	sweep.Wmins = []int{1, 2}
 	sweep.Heuristics = []string{"Y-IE", "P-IE", "IE", "IAY"}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.RunWithContext(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,15 +250,15 @@ func BenchmarkStatsOfCached(b *testing.B) {
 // BenchmarkSweepPoint runs one full campaign point end-to-end — platform
 // generation, per-worker analytic cache, simulation, aggregation — the
 // unit the campaign throughput north-star multiplies. Since the Session
-// redesign this is also the "old callback path": exp.Run is a shim over
-// the event stream, so the pair (SweepPoint, StreamOverhead) measures the
-// same work consumed through the two API shapes.
+// redesign this is also the "old callback path": exp.RunWithContext is a
+// consumer of the event stream, so the pair (SweepPoint, StreamOverhead)
+// measures the same work consumed through the two API shapes.
 func BenchmarkSweepPoint(b *testing.B) {
 	sweep := miniSweep(5)
 	sweep.Heuristics = []string{"IE", "Y-IE", "RANDOM"}
 	sweep.Workers = 1 // single-threaded: ns/op must not depend on core count
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(sweep, nil)
+		res, err := exp.RunWithContext(context.Background(), sweep, exp.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

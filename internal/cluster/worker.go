@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,8 +24,8 @@ type WorkerConfig struct {
 	// Name identifies this worker in lease bookkeeping (default
 	// host:pid).
 	Name string
-	// Parallelism bounds the simulation pool per leased unit (default
-	// GOMAXPROCS).
+	// Parallelism bounds the simulation pool per leased unit (the
+	// campaign pool's GOMAXPROCS default when 0).
 	Parallelism int
 	// UploadBatch is how many completed instances accumulate before a
 	// result upload (default 64). Smaller batches lose less to a worker
@@ -54,9 +53,6 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	if cfg.Name == "" {
 		host, _ := os.Hostname()
 		cfg.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.UploadBatch <= 0 {
 		cfg.UploadBatch = 64

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -33,7 +34,7 @@ func runJournaled(t *testing.T, dir string, s Sweep, format Format) (string, *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWith(s, RunOptions{Journal: j})
+	res, err := RunWithContext(context.Background(), s, RunOptions{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func interruptJournaled(t *testing.T, dir string, s Sweep, format Format) string
 	}
 	interrupted := errors.New("interrupted")
 	n := 0
-	_, err = RunWith(s, RunOptions{Journal: j, Sink: func(InstanceResult) error {
+	_, err = RunWithContext(context.Background(), s, RunOptions{Journal: j, Sink: func(InstanceResult) error {
 		if n++; n >= 7 {
 			return interrupted
 		}
@@ -175,7 +176,7 @@ func interruptJournaled(t *testing.T, dir string, s Sweep, format Format) string
 // directions.
 func TestCrossFormatResumeParity(t *testing.T) {
 	s := codecSweep()
-	ref, err := Run(s, nil)
+	ref, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestCrossFormatResumeParity(t *testing.T) {
 			if err := ConvertJournal(partial, converted, dir.to); err != nil {
 				t.Fatal(err)
 			}
-			res, err := Resume(converted, nil)
+			res, err := ResumeWith(context.Background(), converted, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +223,7 @@ func TestCrossFormatResumeParity(t *testing.T) {
 // the bit-identical result.
 func TestBinaryResumeTornTail(t *testing.T) {
 	s := codecSweep()
-	ref, err := Run(s, nil)
+	ref, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestBinaryResumeTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	res, err := Resume(path, nil)
+	res, err := ResumeWith(context.Background(), path, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestAggregateJournalParity(t *testing.T) {
 // instances yet renders the same table bytes as a collecting run.
 func TestDiscardInstancesStreamingTables(t *testing.T) {
 	s := codecSweep()
-	ref, err := Run(s, nil)
+	ref, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestDiscardInstancesStreamingTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWith(s, RunOptions{DiscardInstances: true})
+	res, err := RunWithContext(context.Background(), s, RunOptions{DiscardInstances: true})
 	if err != nil {
 		t.Fatal(err)
 	}

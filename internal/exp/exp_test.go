@@ -85,7 +85,7 @@ func TestPaperAndQuickSweeps(t *testing.T) {
 func TestRunSmallSweep(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM", "Y-IE"})
 	var lastDone, total int
-	res, err := Run(s, func(done, tot int) { lastDone, total = done, tot })
+	res, err := RunWithContext(context.Background(), s, RunOptions{Progress: func(done, tot int) { lastDone, total = done, tot }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestRunSmallSweep(t *testing.T) {
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	s := tinySweep([]string{"IE", "Y-IE"})
 	s.Workers = 1
-	a, err := Run(s, nil)
+	a, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Workers = 4
-	b, err := Run(s, nil)
+	b, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFormatTable(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
-	res, err := Run(s, nil)
+	res, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestHeuristicsDefault(t *testing.T) {
 // leaves nil).
 func TestBatchSweepMatchesSequential(t *testing.T) {
 	base := tinySweep([]string{"IE", "Y-IE", "IP"})
-	seq, err := Run(base, nil)
+	seq, err := RunWithContext(context.Background(), base, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"tightsched/internal/avail"
 	"tightsched/internal/grid"
@@ -294,9 +292,10 @@ type GridRunOptions struct {
 	Telemetry grid.Telemetry
 }
 
-// RunGridContext executes the campaign on a bounded worker pool. Results
-// are canonically sorted, so any worker count — and any resume split —
-// produces identical bytes.
+// RunGridContext executes the campaign on the campaign worker pool
+// (runPool), journaling each instance before it counts as progress.
+// Results are canonically sorted, so any worker count — and any resume
+// split — produces identical bytes.
 func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*GridResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -341,86 +340,25 @@ func RunGridContext(ctx context.Context, g GridSweep, opt GridRunOptions) (*Grid
 	if workers <= 0 {
 		workers = g.Workers
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	newWorker := func() func(context.Context, GridKey) (GridInstance, error) {
+		return func(ctx context.Context, key GridKey) (GridInstance, error) {
+			return g.runInstance(ctx, key, model, opt.Telemetry)
+		}
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	if len(jobs) > 0 {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		jobCh := make(chan GridKey)
-		type outcome struct {
-			inst GridInstance
-			err  error
-		}
-		resCh := make(chan outcome)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for key := range jobCh {
-					inst, err := g.runInstance(ctx, key, model, opt.Telemetry)
-					select {
-					case resCh <- outcome{inst, err}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(resCh)
-		}()
-		go func() {
-			defer close(jobCh)
-			for _, key := range jobs {
-				select {
-				case jobCh <- key:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		// Drain until the workers exit: cancelled workers drop their
-		// outcomes, so the count of deliveries is not knowable up front.
-		var firstErr error
-		collected := 0
-		for out := range resCh {
-			collected++
-			if out.err != nil {
-				if firstErr == nil {
-					firstErr = out.err
-					cancel()
-				}
-				continue
-			}
-			if opt.Journal != nil {
-				if err := opt.Journal.Append(out.inst); err != nil && firstErr == nil {
-					firstErr = err
-					cancel()
-					continue
-				}
-			}
-			instances = append(instances, out.inst)
-			if opt.Progress != nil {
-				opt.Progress(len(instances), total)
+	err = runPool(ctx, workers, jobs, newWorker, func(inst GridInstance) error {
+		if opt.Journal != nil {
+			if err := opt.Journal.Append(inst); err != nil {
+				return err
 			}
 		}
-		if firstErr == nil && collected < len(jobs) {
-			// Workers bailed out before delivering everything: the
-			// caller's context died without any outcome carrying it.
-			if firstErr = ctx.Err(); firstErr == nil {
-				firstErr = context.Canceled
-			}
+		instances = append(instances, inst)
+		if opt.Progress != nil {
+			opt.Progress(len(instances), total)
 		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	sortGridInstances(instances)

@@ -6,7 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"tightsched/internal/grid"
 )
 
 // gridTestSweep shrinks QuickOnlineSweep to test scale while keeping
@@ -171,5 +174,39 @@ func TestGridSpecRoundTrip(t *testing.T) {
 	g.Workers = 0 // execution-only; not part of the identity
 	if !reflect.DeepEqual(back, g) {
 		t.Fatalf("round trip lost fields:\n%+v\n%+v", back, g)
+	}
+}
+
+// panickingAdmission is a test-only admission policy whose scoring
+// panics, standing in for faulty plugged-in policy code.
+type panickingAdmission struct{}
+
+func (panickingAdmission) Name() string { return "test-panicking-admission" }
+func (panickingAdmission) Priority(grid.Arrival, int64) float64 {
+	panic("admission scoring failed")
+}
+
+var registerPanickingAdmission = sync.OnceValue(func() error {
+	return grid.RegisterAdmission("test-panicking-admission",
+		func() grid.AdmissionPolicy { return panickingAdmission{} })
+})
+
+// TestGridPolicyPanicIsError: a registered admission policy that panics
+// fails the campaign with an error naming the instance instead of
+// crashing the process.
+func TestGridPolicyPanicIsError(t *testing.T) {
+	if err := registerPanickingAdmission(); err != nil {
+		t.Fatal(err)
+	}
+	g := gridTestSweep()
+	g.Admissions = []string{"test-panicking-admission"}
+	_, err := RunGridContext(context.Background(), g, GridRunOptions{Workers: 2})
+	if err == nil {
+		t.Fatal("panicking admission policy did not fail the campaign")
+	}
+	for _, want := range []string{"Admission:test-panicking-admission", "Trial:", "admission scoring failed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
 	}
 }

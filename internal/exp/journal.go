@@ -77,13 +77,13 @@ func (s *Sweep) Spec() SweepSpec {
 // resolved by name through the open registry (avail.Builtin), so any
 // built-in or avail.Register'd model reconstructs headlessly; only a
 // model constructed directly and never registered cannot — resume those
-// with RunWith, passing the original Sweep alongside OpenJournal.
+// with RunWithContext, passing the original Sweep alongside OpenJournal.
 func (sp SweepSpec) Sweep() (Sweep, error) {
 	s := sp.sweepDims()
 	for _, name := range sp.Models {
 		m, err := avail.Builtin(name)
 		if err != nil {
-			return Sweep{}, fmt.Errorf("exp: journal model %q is not registered; resume with RunWith and the original Sweep: %w", name, err)
+			return Sweep{}, fmt.Errorf("exp: journal model %q is not registered; resume with RunWithContext and the original Sweep: %w", name, err)
 		}
 		s.Models = append(s.Models, m)
 	}
@@ -265,7 +265,7 @@ func (c *journalCore[H, K, R]) Close() error {
 // (recordlog.go). Every Append is written before it returns, so a
 // crash loses at most the record being written — and OpenJournal
 // tolerates exactly that torn tail. The journal file is the unit of
-// resume (exp.Resume) and of cross-machine recombination (exp.Merge);
+// resume (exp.ResumeWith) and of cross-machine recombination (exp.Merge);
 // readers sniff the format, so both formats resume and merge freely.
 type Journal struct {
 	journalCore[journalHeader, Key, InstanceResult]
@@ -399,21 +399,17 @@ func (j *Journal) matches(s *Sweep, shard Shard) error {
 	return nil
 }
 
-// Resume continues an interrupted journaled campaign from its file alone:
-// the header reconstructs the sweep, recorded instances are trusted
-// as-is, and only the missing (model, point, trial, heuristic) instances
-// are re-run — each from its coordinate-derived seed, so the final Result
-// is bit-identical to an uninterrupted run's. Models resolve by name
-// through the open registry; only campaigns whose availability models
-// were never registered must instead resume via RunWith with the
-// original Sweep and OpenJournal.
-func Resume(journalPath string, progress func(done, total int)) (*Result, error) {
-	return ResumeWith(context.Background(), journalPath, RunOptions{Progress: progress})
-}
-
-// ResumeWith is Resume under a context with full consumption options:
-// the journal and shard are read from the file (the Journal and Shard
-// fields of opts are ignored), everything else — progress, sink,
+// ResumeWith continues an interrupted journaled campaign from its file
+// alone: the header reconstructs the sweep, recorded instances are
+// trusted as-is, and only the missing (model, point, trial, heuristic)
+// instances are re-run — each from its coordinate-derived seed, so the
+// final Result is bit-identical to an uninterrupted run's. Models resolve
+// by name through the open registry; only campaigns whose availability
+// models were never registered must instead resume via RunWithContext
+// with the original Sweep and OpenJournal.
+//
+// The journal and shard are read from the file (the Journal and Shard
+// fields of opts are ignored); everything else — progress, sink,
 // observer, instance discarding — applies as in RunWithContext. The
 // journal is closed, flushed and resumable again when ResumeWith returns,
 // whether the campaign completed or the context was cancelled.

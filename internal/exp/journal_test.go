@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -29,7 +30,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	s := journalSweep()
 
 	// The uninterrupted reference run.
-	ref, err := Run(s, nil)
+	ref, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	limit := len(ref.Instances) / 3
 	interrupted := errors.New("interrupted")
 	n := 0
-	_, err = RunWith(s, RunOptions{
+	_, err = RunWithContext(context.Background(), s, RunOptions{
 		Journal: j,
 		Sink: func(InstanceResult) error {
 			n++
@@ -82,12 +83,12 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 
 	// Resume from the journal alone and require bit-identical everything.
 	var firstDone, lastDone, total int
-	res, err := Resume(path, func(done, tot int) {
+	res, err := ResumeWith(context.Background(), path, RunOptions{Progress: func(done, tot int) {
 		if firstDone == 0 {
 			firstDone = done
 		}
 		lastDone, total = done, tot
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunWith(s, RunOptions{Journal: j})
+	full, err := RunWithContext(context.Background(), s, RunOptions{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +132,10 @@ func TestResumeOfCompleteJournalRunsNothing(t *testing.T) {
 
 	var calls int
 	var firstDone, total int
-	res, err := Resume(path, func(done, tot int) {
+	res, err := ResumeWith(context.Background(), path, RunOptions{Progress: func(done, tot int) {
 		calls++
 		firstDone, total = done, tot
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +164,10 @@ func TestJournalSpecMismatch(t *testing.T) {
 
 	other := s
 	other.Seed++
-	if _, err := RunWith(other, RunOptions{Journal: j}); err == nil {
+	if _, err := RunWithContext(context.Background(), other, RunOptions{Journal: j}); err == nil {
 		t.Fatal("journal accepted a different campaign")
 	}
-	if _, err := RunWith(s, RunOptions{Journal: j, Shard: Shard{Index: 0, Count: 2}}); err == nil {
+	if _, err := RunWithContext(context.Background(), s, RunOptions{Journal: j, Shard: Shard{Index: 0, Count: 2}}); err == nil {
 		t.Fatal("whole-campaign journal accepted a sharded run")
 	}
 }
@@ -180,7 +181,7 @@ func TestJournalCorruptMiddleRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWith(s, RunOptions{Journal: j}); err != nil {
+	if _, err := RunWithContext(context.Background(), s, RunOptions{Journal: j}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -210,7 +211,7 @@ func TestJournalCorruptMiddleRejected(t *testing.T) {
 func TestMergeJournalsTolerateTornTail(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 
-	ref, err := Run(s, nil)
+	ref, err := RunWithContext(context.Background(), s, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunWith(s, RunOptions{Journal: j, Shard: sh}); err != nil {
+		if _, err := RunWithContext(context.Background(), s, RunOptions{Journal: j, Shard: sh}); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -299,7 +300,7 @@ func TestMergeJournalsTolerateTornTail(t *testing.T) {
 
 			// The same tear is resumable in place: the lost instance is
 			// re-run, bit-identically.
-			res, err := Resume(b, nil)
+			res, err := ResumeWith(context.Background(), b, RunOptions{})
 			if err != nil {
 				t.Fatalf("resume of torn shard: %v", err)
 			}
@@ -335,7 +336,7 @@ func TestCreateJournalRefusesExisting(t *testing.T) {
 func TestDiscardInstances(t *testing.T) {
 	s := tinySweep([]string{"IE", "RANDOM"})
 	seen := 0
-	res, err := RunWith(s, RunOptions{
+	res, err := RunWithContext(context.Background(), s, RunOptions{
 		DiscardInstances: true,
 		Sink:             func(InstanceResult) error { seen++; return nil },
 	})

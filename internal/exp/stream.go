@@ -3,9 +3,8 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
-	"runtime"
-	"sync"
 
 	"tightsched/internal/analytic"
 	"tightsched/internal/avail"
@@ -14,7 +13,7 @@ import (
 
 // This file is the streamed campaign-event API: Stream runs a sweep's
 // worker pool and delivers completions as a Go 1.23+ range-over-func
-// iterator instead of a callback, which is what the RunWith family and
+// iterator instead of a callback, which is what RunWithContext and
 // the façade Session are built on. Three event kinds flow, all emitted
 // from the consumer's goroutine in completion order:
 //
@@ -116,9 +115,9 @@ func (InstanceDone) sweepEvent() {}
 func (PointDone) sweepEvent()    {}
 func (Progress) sweepEvent()     {}
 
-// Observer receives typed campaign events. RunWith-family calls invoke it
-// from a single goroutine, in completion order; implementations need no
-// internal locking.
+// Observer receives typed campaign events. RunWithContext and ResumeWith
+// invoke it from a single goroutine, in completion order;
+// implementations need no internal locking.
 type Observer interface {
 	OnInstanceDone(InstanceDone)
 	OnPointDone(PointDone)
@@ -141,12 +140,12 @@ type pointKey struct {
 // Breaking out of the loop early cancels the same way but yields no
 // error, per the iterator contract. Either way no goroutines are leaked
 // and an attached journal holds every completed instance, so a later
-// Resume reproduces the uninterrupted result bit for bit.
+// ResumeWith reproduces the uninterrupted result bit for bit.
 //
 // Only the execution fields of opts (Journal, Shard, Workers) apply
 // here; the consumption fields (Progress, Sink, Observer,
-// DiscardInstances) belong to the RunWith family, for which the stream
-// itself is the delivery mechanism.
+// DiscardInstances) belong to RunWithContext and ResumeWith, for which
+// the stream itself is the delivery mechanism.
 func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, error] {
 	return func(yield func(Event, error) bool) {
 		if err := sweep.Validate(); err != nil {
@@ -176,14 +175,7 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 		// decision builds. Journal records and events stay per-instance
 		// either way.
 		batch := sweep.Advance == sim.AdvanceBatch
-		type job struct {
-			c Coord
-			h string
-			// pairs holds a batched cell's live work; empty for a
-			// sequential single-instance job.
-			pairs []cellPair
-		}
-		var jobs []job
+		var jobs []sweepJob
 		var prior []InstanceResult
 		liveCount := 0
 		remaining := map[pointKey]int{}
@@ -204,13 +196,13 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 					// Coords enumerate trials of a cell contiguously, so
 					// the current cell is always the last job (if any).
 					if n := len(jobs); n == 0 || jobs[n-1].c.Model != c.Model || jobs[n-1].c.Point != c.Point {
-						jobs = append(jobs, job{c: Coord{Model: c.Model, Point: c.Point, Trial: -1}})
+						jobs = append(jobs, sweepJob{c: Coord{Model: c.Model, Point: c.Point, Trial: -1}})
 					}
 					last := &jobs[len(jobs)-1]
 					last.pairs = append(last.pairs, cellPair{trial: c.Trial, h: h})
 					continue
 				}
-				jobs = append(jobs, job{c: c, h: h})
+				jobs = append(jobs, sweepJob{c: c, h: h})
 			}
 		}
 		total := liveCount + len(prior)
@@ -263,154 +255,91 @@ func Stream(ctx context.Context, sweep Sweep, opts RunOptions) iter.Seq2[Event, 
 				return
 			}
 		}
-		if len(jobs) == 0 {
-			return
-		}
-
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
 		workers := sweep.Workers
 		if opts.Workers > 0 {
 			workers = opts.Workers
 		}
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-
-		// packet carries one completed instance to the collector; batched
-		// cells attach their cache counters to every instance, and the
-		// collector keeps the last seen per cell.
-		type packet struct {
-			inst  InstanceResult
-			cache *CacheStats
-		}
-
-		jobCh := make(chan int)
-		resCh := make(chan packet, workers)
-		errCh := make(chan error, workers)
-
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cache := analytic.NewPlatformCache()
-				for idx := range jobCh {
-					j := jobs[idx]
-					// Instance boundary: a cancelled campaign starts no
-					// new simulations.
-					if ctx.Err() != nil {
-						return
-					}
-					var packets []packet
-					if len(j.pairs) > 0 {
-						insts, cst, err := runCell(ctx, &sweep, modelByName[j.c.Model], j.c.Model, j.c.Point, j.pairs, cache)
-						if err != nil {
-							if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-								select {
-								case errCh <- err:
-								default:
-								}
-							}
-							cancel()
-							return
-						}
-						for _, inst := range insts {
-							packets = append(packets, packet{inst: inst, cache: cst})
-						}
-					} else {
-						res, err := runInstance(ctx, &sweep, modelByName[j.c.Model], j.c.Point, j.c.Trial, j.h, cache)
-						if err != nil {
-							// A run aborted by cancellation is not a campaign
-							// failure; the stream reports the context's error
-							// once, at the end.
-							if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-								select {
-								case errCh <- err:
-								default:
-								}
-							}
-							cancel()
-							return
-						}
-						packets = []packet{{inst: InstanceResult{
-							Point:     j.c.Point,
-							Trial:     j.c.Trial,
-							Model:     j.c.Model,
-							Heuristic: j.h,
-							Makespan:  res.Makespan,
-							Failed:    res.Failed,
-						}}}
-					}
-					for _, pk := range packets {
-						select {
-						case resCh <- pk:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}()
-		}
-		go func() { // feeder
-			defer close(jobCh)
-			for idx := range jobs {
-				select {
-				case jobCh <- idx:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		go func() { // closer: resCh ends exactly when the pool has exited
-			wg.Wait()
-			close(resCh)
-		}()
-
-		// shutdown stops the pool and blocks until every worker has
-		// exited, so returning from the iterator never leaks goroutines.
-		// Results still queued when the consumer quits are dropped
-		// without journaling — a later Resume re-runs exactly those.
-		shutdown := func() {
-			cancel()
-			for range resCh {
+		// Each worker owns one analytic platform cache (see runInstance).
+		newWorker := func() func(context.Context, sweepJob) (jobResult, error) {
+			cache := analytic.NewPlatformCache()
+			return func(ctx context.Context, j sweepJob) (jobResult, error) {
+				return j.run(ctx, &sweep, modelByName[j.c.Model], cache)
 			}
 		}
-
-		// The iterator's caller is the collector: journal appends happen
+		// The caller's goroutine is the collector: journal appends happen
 		// here, before the event is yielded, so every instance a consumer
-		// observes is already durable.
-		for pk := range resCh {
-			inst := pk.inst
-			if pk.cache != nil {
-				cellStats[pointKey{modelName(inst), inst.Point}] = pk.cache
+		// observes is already durable. Results still queued when the
+		// consumer quits are dropped without journaling — a later
+		// ResumeWith re-runs exactly those.
+		stopped := false
+		err := runPool(ctx, workers, jobs, newWorker, func(r jobResult) error {
+			if r.cache != nil {
+				cellStats[pointKey{modelName(r.insts[0]), r.insts[0].Point}] = r.cache
 			}
-			if opts.Journal != nil {
-				if err := opts.Journal.Append(inst); err != nil {
-					shutdown()
-					yield(nil, err)
-					return
+			for _, inst := range r.insts {
+				if opts.Journal != nil {
+					if err := opts.Journal.Append(inst); err != nil {
+						return err
+					}
+				}
+				if !emitInstance(inst, false) || !yield(Progress{Completed: completed, Total: total}, nil) {
+					stopped = true
+					return errStopped
 				}
 			}
-			if !emitInstance(inst, false) || !yield(Progress{Completed: completed, Total: total}, nil) {
-				shutdown()
-				return
-			}
-		}
-		// Pool exited. Surface a worker error, or the cancellation that
-		// cut the campaign short.
-		select {
-		case err := <-errCh:
-			yield(nil, err)
-			return
-		default:
-		}
-		if err := ctx.Err(); err != nil && completed < total {
+			return nil
+		})
+		if err != nil && !stopped {
 			yield(nil, err)
 		}
 	}
+}
+
+// errStopped is a Stream collector's signal that its consumer broke out
+// of the loop.
+var errStopped = errors.New("exp: stream consumer stopped")
+
+// sweepJob is the sweep's unit of pool work: one (coord, heuristic)
+// instance, or, under the batch core, every live pair of one cell.
+type sweepJob struct {
+	c Coord
+	h string
+	// pairs holds a batched cell's live work; empty for a sequential
+	// single-instance job.
+	pairs []cellPair
+}
+
+// String names the job in pool errors.
+func (j sweepJob) String() string {
+	if len(j.pairs) > 0 {
+		return fmt.Sprintf("model %s, point %+v, batched cell", j.c.Model, j.c.Point)
+	}
+	return fmt.Sprintf("model %s, point %+v, trial %d, heuristic %s", j.c.Model, j.c.Point, j.c.Trial, j.h)
+}
+
+// jobResult is one completed sweep job: its instances and, for a
+// batched cell, the cell's cache counters.
+type jobResult struct {
+	insts []InstanceResult
+	cache *CacheStats
+}
+
+// run simulates the job on the calling worker's cache.
+func (j sweepJob) run(ctx context.Context, s *Sweep, model avail.Model, cache *analytic.PlatformCache) (jobResult, error) {
+	if len(j.pairs) > 0 {
+		insts, cst, err := runCell(ctx, s, model, j.c.Model, j.c.Point, j.pairs, cache)
+		return jobResult{insts, cst}, err
+	}
+	res, err := runInstance(ctx, s, model, j.c.Point, j.c.Trial, j.h, cache)
+	if err != nil {
+		return jobResult{}, err
+	}
+	return jobResult{insts: []InstanceResult{{
+		Point:     j.c.Point,
+		Trial:     j.c.Trial,
+		Model:     j.c.Model,
+		Heuristic: j.h,
+		Makespan:  res.Makespan,
+		Failed:    res.Failed,
+	}}}, nil
 }

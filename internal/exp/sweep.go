@@ -51,7 +51,7 @@ type Sweep struct {
 	// same realization every trial — use Trials = 1 with those. See
 	// internal/avail.
 	Models []avail.Model
-	// Workers bounds the number of parallel simulations (NumCPU when 0).
+	// Workers bounds the number of parallel simulations (GOMAXPROCS when 0).
 	Workers int
 	// InitialAllUp starts processors UP instead of at stationarity.
 	InitialAllUp bool
@@ -240,8 +240,7 @@ func (s *Sweep) TrialSeed(pt Point, trial int) uint64 {
 // TrialStream returns the deterministic RNG stream of trial i under a
 // master seed: the per-trial derivation used outside the sweep grid,
 // where there is no Point to key on (cmd/offline's instance generators
-// draw from it directly; core.Compare derives its per-trial sim seeds the
-// same way).
+// draw from it directly; Compare derives its per-trial sim seeds from it).
 func TrialStream(master uint64, trial int) *rng.Stream {
 	return rng.NewKeyed(master, uint64(trial))
 }
@@ -259,10 +258,7 @@ func (s *Sweep) application(wmin int) app.Application {
 }
 
 // runInstance executes one simulation of the campaign, checking ctx at
-// macro-step boundaries. Model hooks run arbitrary plugged-in code (e.g. a
-// TraceModel panicking on a platform size mismatch); a panic is converted
-// into an error so the campaign fails cleanly instead of crashing the
-// worker pool.
+// macro-step boundaries.
 //
 // cache is the calling worker's analytic platform cache: the trials and
 // heuristics of one sweep point share a believed matrix set, so routing
@@ -271,13 +267,7 @@ func (s *Sweep) application(wmin int) app.Application {
 // Memoized statistics are canonical, so results are bit-identical to
 // cache-free execution whatever the job interleaving — the cross-worker
 // determinism test pins this.
-func runInstance(ctx context.Context, s *Sweep, model avail.Model, pt Point, trial int, h string, cache *analytic.PlatformCache) (res sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("exp: model %s, point %+v, trial %d, heuristic %s: panic: %v",
-				model.Name(), pt, trial, h, p)
-		}
-	}()
+func runInstance(ctx context.Context, s *Sweep, model avail.Model, pt Point, trial int, h string, cache *analytic.PlatformCache) (sim.Result, error) {
 	return sim.RunContext(ctx, sim.Config{
 		Platform:      s.scenarioPlatform(pt),
 		App:           s.application(pt.Wmin),
@@ -304,14 +294,7 @@ type cellPair struct {
 // returned InstanceResult is byte-identical to its sequential
 // counterpart; results are returned in pairs order along with the cell's
 // cache-effectiveness counters.
-func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string, pt Point, pairs []cellPair, cache *analytic.PlatformCache) (out []InstanceResult, cst *CacheStats, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			out, cst = nil, nil
-			err = fmt.Errorf("exp: model %s, point %+v, batched cell: panic: %v",
-				modelName, pt, p)
-		}
-	}()
+func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string, pt Point, pairs []cellPair, cache *analytic.PlatformCache) ([]InstanceResult, *CacheStats, error) {
 	base := sim.Config{
 		Platform:      s.scenarioPlatform(pt),
 		App:           s.application(pt.Wmin),
@@ -329,7 +312,7 @@ func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string,
 	if err != nil {
 		return nil, nil, err
 	}
-	out = make([]InstanceResult, len(results))
+	out := make([]InstanceResult, len(results))
 	for i, r := range results {
 		out[i] = InstanceResult{
 			Point:     pt,
@@ -348,9 +331,9 @@ func runCell(ctx context.Context, s *Sweep, model avail.Model, modelName string,
 // plain in-memory run.
 //
 // The consumption fields (Progress, Sink, Observer, DiscardInstances)
-// apply to the RunWith family, which is built on the Stream event
-// iterator; Stream itself ignores them — its events are the delivery
-// mechanism.
+// apply to RunWithContext and ResumeWith, which are built on the Stream
+// event iterator; Stream itself ignores them — its events are the
+// delivery mechanism.
 type RunOptions struct {
 	// Progress receives (completed, total) counts, including instances
 	// skipped because they were already journaled. It is called from a
@@ -365,14 +348,14 @@ type RunOptions struct {
 	// instance grid (see Sweep.Shard). The zero value runs everything.
 	Shard Shard
 	// Workers, when positive, overrides the sweep's worker-pool bound —
-	// the only way to bound a Resume, whose sweep is rebuilt from the
+	// the only way to bound a ResumeWith, whose sweep is rebuilt from the
 	// journal spec (which deliberately omits runtime knobs).
 	Workers int
 	// Sink, when set, receives every completed instance as it finishes
 	// (after journaling), in completion order, from a single goroutine.
 	// Instances replayed from the journal are not re-delivered. A
 	// non-nil error aborts the campaign — already-journaled work
-	// survives for a later Resume.
+	// survives for a later ResumeWith.
 	Sink func(InstanceResult) error
 	// Observer, when set, receives every typed campaign event
 	// (InstanceDone, PointDone, Progress) from a single goroutine.
@@ -387,27 +370,15 @@ type RunOptions struct {
 	DiscardInstances bool
 }
 
-// Run executes the campaign in memory. Instances are distributed over a
-// worker pool; results are deterministic and order-independent. The
-// optional progress callback receives (completed, total) counts.
-func Run(sweep Sweep, progress func(done, total int)) (*Result, error) {
-	return RunWith(sweep, RunOptions{Progress: progress})
-}
-
-// RunWith executes the campaign with journaling, sharding and streaming
-// options. Completed instances are streamed — journaled, handed to the
-// sink, and (unless discarded) collected — as they finish rather than
-// gathered at the end, so an interrupted run loses only in-flight work.
-func RunWith(sweep Sweep, opts RunOptions) (*Result, error) {
-	return RunWithContext(context.Background(), sweep, opts)
-}
-
-// RunWithContext is RunWith under a context, consuming the Stream event
-// iterator: cancellation is checked at instance boundaries in the worker
+// RunWithContext executes the campaign with journaling, sharding and
+// streaming options, consuming the Stream event iterator. Completed
+// instances are streamed — journaled, handed to the sink, and (unless
+// discarded) collected — as they finish rather than gathered at the end,
+// so an interrupted run loses only in-flight work. Cancellation is checked at instance boundaries in the worker
 // pool and at macro-step boundaries inside each simulation, every already
 // completed instance is journaled before the campaign returns, and the
 // returned error is the context's. The journal is left resumable: a later
-// Resume re-runs only what was lost in flight and reproduces the
+// ResumeWith re-runs only what was lost in flight and reproduces the
 // uninterrupted result bit for bit.
 func RunWithContext(ctx context.Context, sweep Sweep, opts RunOptions) (*Result, error) {
 	var collected []InstanceResult

@@ -26,7 +26,7 @@ type Config struct {
 	// own worker pool parallelizes inside its runner slot.
 	Runners int
 	// Workers is the default per-campaign worker count applied when a
-	// spec leaves run.workers at 0 (0: NumCPU).
+	// spec leaves run.workers at 0 (0: GOMAXPROCS).
 	Workers int
 	// MaxSpecBytes bounds a submitted spec document (default 1 MiB).
 	MaxSpecBytes int64
@@ -235,15 +235,69 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case spec.Cluster != nil:
 		go s.runClusterCampaign(ctx, c)
 	case spec.Grid != nil:
-		go s.runGridCampaign(ctx, c)
+		go s.runLocal(ctx, c, s.gridRun(c))
 	default:
-		go s.runCampaign(ctx, c)
+		go s.runLocal(ctx, c, s.sweepRun(c))
 	}
 	writeJSON(w, http.StatusAccepted, c.Status(time.Now().UTC()))
 }
 
-// runCampaign executes one campaign on the runner pool.
-func (s *Server) runCampaign(ctx context.Context, c *Campaign) {
+// localRun is what differs between the in-process campaign kinds: the
+// session options, the journal constructor (returning the journal and
+// the option that attaches it) and the session call.
+type localRun struct {
+	opts    []tightsched.Option
+	journal func(path string) (io.Closer, tightsched.Option, error)
+	run     func(context.Context, ...tightsched.Option) (*tightsched.SweepResult, error)
+}
+
+// sweepRun returns an offline sweep campaign's parts: events feed the
+// SSE broadcaster and the daemon-lifetime counters.
+func (s *Server) sweepRun(c *Campaign) localRun {
+	opts := []tightsched.Option{
+		tightsched.WithObserver(metricsObserver{observer{c}, &s.metrics}),
+	}
+	if c.Spec.Shard.Count > 1 {
+		opts = append(opts, tightsched.WithShard(c.Spec.Shard))
+	}
+	return localRun{
+		opts: opts,
+		journal: func(path string) (io.Closer, tightsched.Option, error) {
+			j, err := tightsched.CreateSweepJournal(path, c.Spec.Sweep, c.Spec.Shard, c.Spec.Format)
+			return j, tightsched.WithJournal(j), err
+		},
+		run: func(ctx context.Context, opts ...tightsched.Option) (*tightsched.SweepResult, error) {
+			return tightsched.NewSession().RunSweep(ctx, c.Spec.Sweep, opts...)
+		},
+	}
+}
+
+// gridRun returns an online grid campaign's parts: progress is forwarded
+// to the SSE broadcaster and live engine telemetry feeds the daemon's
+// tightsched_grid_* metric families.
+func (s *Server) gridRun(c *Campaign) localRun {
+	g := *c.Spec.Grid
+	obs := observer{c}
+	return localRun{
+		opts: []tightsched.Option{
+			tightsched.WithProgress(func(done, total int) {
+				obs.OnProgress(tightsched.Progress{Completed: done, Total: total})
+			}),
+			tightsched.WithGridTelemetry(gridTelemetry{&s.metrics}),
+		},
+		journal: func(path string) (io.Closer, tightsched.Option, error) {
+			j, err := tightsched.CreateOnlineJournal(path, g, c.Spec.Format)
+			return j, tightsched.WithOnlineJournal(j), err
+		},
+		run: func(ctx context.Context, opts ...tightsched.Option) (*tightsched.SweepResult, error) {
+			return tightsched.NewSession().RunOnline(ctx, g, opts...)
+		},
+	}
+}
+
+// runLocal executes one in-process campaign on the runner pool, closing
+// its journal (if any) before recording the outcome.
+func (s *Server) runLocal(ctx context.Context, c *Campaign, r localRun) {
 	defer s.wg.Done()
 	// Queue for a runner slot; cancellation while pending (DELETE or
 	// shutdown) resolves the campaign without running anything.
@@ -260,73 +314,17 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign) {
 	}
 	c.markRunning(time.Now().UTC())
 
-	opts := []tightsched.Option{
-		tightsched.WithObserver(metricsObserver{observer{c}, &s.metrics}),
-	}
-	if c.Spec.Shard.Count > 1 {
-		opts = append(opts, tightsched.WithShard(c.Spec.Shard))
-	}
-	var journal *tightsched.SweepJournal
+	opts := r.opts
+	var journal io.Closer
 	if c.journalPath != "" {
-		var err error
-		journal, err = tightsched.CreateSweepJournal(c.journalPath, c.Spec.Sweep, c.Spec.Shard, c.Spec.Format)
+		j, opt, err := r.journal(c.journalPath)
 		if err != nil {
 			c.finish(ctx, err, nil, time.Now().UTC())
 			return
 		}
-		opts = append(opts, tightsched.WithJournal(journal))
+		journal, opts = j, append(opts, opt)
 	}
-
-	session := tightsched.NewSession()
-	res, err := session.RunSweep(ctx, c.Spec.Sweep, opts...)
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	c.finish(ctx, err, res, time.Now().UTC())
-}
-
-// runGridCampaign executes one online grid campaign on the runner pool:
-// the grid-journal mirror of runCampaign, with progress forwarded to the
-// SSE broadcaster and live engine telemetry feeding the daemon's
-// tightsched_grid_* metric families.
-func (s *Server) runGridCampaign(ctx context.Context, c *Campaign) {
-	defer s.wg.Done()
-	select {
-	case s.slots <- struct{}{}:
-		defer func() { <-s.slots }()
-	case <-ctx.Done():
-		c.finish(ctx, ctx.Err(), nil, time.Now().UTC())
-		return
-	}
-	if ctx.Err() != nil {
-		c.finish(ctx, ctx.Err(), nil, time.Now().UTC())
-		return
-	}
-	c.markRunning(time.Now().UTC())
-
-	g := *c.Spec.Grid
-	obs := observer{c}
-	opts := []tightsched.Option{
-		tightsched.WithProgress(func(done, total int) {
-			obs.OnProgress(tightsched.Progress{Completed: done, Total: total})
-		}),
-		tightsched.WithGridTelemetry(gridTelemetry{&s.metrics}),
-	}
-	var journal *tightsched.OnlineJournal
-	if c.journalPath != "" {
-		var err error
-		journal, err = tightsched.CreateOnlineJournal(c.journalPath, g, c.Spec.Format)
-		if err != nil {
-			c.finish(ctx, err, nil, time.Now().UTC())
-			return
-		}
-		opts = append(opts, tightsched.WithOnlineJournal(journal))
-	}
-
-	session := tightsched.NewSession()
-	res, err := session.RunOnline(ctx, g, opts...)
+	res, err := r.run(ctx, opts...)
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil && err == nil {
 			err = cerr

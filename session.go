@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"iter"
 
+	"tightsched/internal/analytic"
 	"tightsched/internal/avail"
-	"tightsched/internal/core"
 	"tightsched/internal/exp"
 	"tightsched/internal/sched"
 	"tightsched/internal/sim"
@@ -19,8 +19,6 @@ import (
 // configuration flows through functional options instead of positional
 // structs, campaign progress is observable as a typed event stream, and
 // the heuristic/model extension points are open string-keyed registries.
-// The struct-options entry points at the bottom of tightsched.go remain
-// as thin deprecated shims.
 //
 //	s := tightsched.NewSession(tightsched.WithCap(200_000))
 //	res, err := s.Run(ctx, sc, "Y-IE", tightsched.WithSeed(7))
@@ -119,7 +117,9 @@ type appliedOption struct {
 
 // sessionConfig is the resolved option set of a Session or one call.
 type sessionConfig struct {
-	run      core.Options
+	// run configures single simulations; Run fills in the scenario and
+	// heuristic, Compare the scenario and per-trial heuristic and seed.
+	run      sim.Config
 	workers  int
 	journal  *exp.Journal
 	shard    exp.Shard
@@ -236,8 +236,8 @@ func WithCustomHeuristic(h Heuristic) Option {
 	return scoped("WithCustomHeuristic", scopeSessionRun, func(c *sessionConfig) { c.run.Custom = h })
 }
 
-// WithWorkers bounds the parallel simulations of a campaign (NumCPU when
-// unset). It overrides the sweep's own Workers field when positive, and
+// WithWorkers bounds the parallel simulations of a campaign (GOMAXPROCS
+// when unset). It overrides the sweep's own Workers field when positive, and
 // is the only way to bound a ResumeSweep or ResumeOnline, whose sweep is
 // rebuilt from the journal spec.
 func WithWorkers(n int) Option {
@@ -341,7 +341,7 @@ func ParseTimeAdvance(name string) (TimeAdvance, error) {
 // SweepRuntime carries the runtime knobs a SweepSpec deliberately omits
 // because they change speed, never results: the time-advance core, the
 // macro-step bound, and the per-campaign worker count. The zero value is
-// the default configuration (event-leap core, DefaultMaxLeap, NumCPU
+// the default configuration (event-leap core, DefaultMaxLeap, GOMAXPROCS
 // workers).
 type SweepRuntime struct {
 	// Advance selects the time-advance core (AdvanceLeap when zero).
@@ -349,7 +349,7 @@ type SweepRuntime struct {
 	// MaxLeap caps one leap macro-step in slots (DefaultMaxLeap when 0),
 	// bounding a run's worst-case cancellation latency.
 	MaxLeap int64
-	// Workers bounds the campaign's parallel simulations (NumCPU when 0).
+	// Workers bounds the campaign's parallel simulations (0: GOMAXPROCS).
 	Workers int
 }
 
@@ -473,7 +473,9 @@ func (s *Session) Run(ctx context.Context, sc Scenario, heuristic string, opts .
 	if err := c.check(scopeSessionRun, "Session.Run"); err != nil {
 		return Result{}, err
 	}
-	return core.RunContext(ctx, sc, heuristic, c.run)
+	cfg := c.run
+	cfg.Platform, cfg.App, cfg.Heuristic = sc.Platform, sc.App, heuristic
+	return sim.RunContext(ctx, cfg)
 }
 
 // Compare runs several heuristics over shared availability realizations
@@ -484,7 +486,19 @@ func (s *Session) Compare(ctx context.Context, sc Scenario, heuristics []string,
 	if err := c.check(scopeCompare, "Session.Compare"); err != nil {
 		return nil, err
 	}
-	return core.CompareContext(ctx, sc, heuristics, trials, c.run.Seed, c.run)
+	cfg := c.run
+	cfg.Platform, cfg.App = sc.Platform, sc.App
+	return exp.Compare(ctx, cfg, heuristics, trials)
+}
+
+// SetEstimate carries the Section V probabilistic estimates for a worker
+// set of a scenario: the probability P⁺ that the set is simultaneously UP
+// again before a failure, and the success probability and conditional
+// expected duration of a W-slot coupled computation.
+type SetEstimate struct {
+	Pplus            float64
+	SuccessProb      float64
+	ExpectedDuration float64
 }
 
 // Estimate computes P⁺, success probability and conditional expected
@@ -493,7 +507,27 @@ func (s *Session) Estimate(ctx context.Context, sc Scenario, workers []int, w in
 	if err := ctx.Err(); err != nil {
 		return SetEstimate{}, err
 	}
-	return core.Estimate(sc, workers, w)
+	if err := sc.Validate(); err != nil {
+		return SetEstimate{}, err
+	}
+	if len(workers) == 0 {
+		return SetEstimate{}, fmt.Errorf("tightsched: empty worker set")
+	}
+	for _, q := range workers {
+		if q < 0 || q >= sc.Platform.Size() {
+			return SetEstimate{}, fmt.Errorf("tightsched: worker %d out of range", q)
+		}
+	}
+	if w <= 0 {
+		return SetEstimate{}, fmt.Errorf("tightsched: workload %d", w)
+	}
+	pl := analytic.NewPlatform(sc.Platform.BelievedMatrices(), analytic.DefaultEps)
+	st := pl.StatsOf(workers)
+	return SetEstimate{
+		Pplus:            st.Pplus,
+		SuccessProb:      st.ProbSuccess(w),
+		ExpectedDuration: st.ExpectedCompletion(w),
+	}, nil
 }
 
 // RunSweep executes a campaign with the session's journal, shard,

@@ -1,8 +1,8 @@
 // Tests for the context-aware Session API: cancellation semantics
 // (cancel mid-campaign, resume bit-identically), the typed event stream
-// and its shutdown guarantees, functional-option parity with the
-// deprecated struct entry points, and the open heuristic/model
-// registries driven from outside internal/sched and internal/avail.
+// and its shutdown guarantees, functional-option parity with plain
+// simulator calls, and the open heuristic/model registries driven from
+// outside internal/sched and internal/avail.
 package tightsched_test
 
 import (
@@ -17,10 +17,12 @@ import (
 
 	"tightsched"
 	"tightsched/internal/app"
-	"tightsched/internal/core"
 	"tightsched/internal/exp"
 	"tightsched/internal/markov"
+	"tightsched/internal/rng"
 	"tightsched/internal/sched"
+	"tightsched/internal/sim"
+	"tightsched/internal/stats"
 )
 
 // sessionSweep is a small campaign preserving the Section VII shape.
@@ -166,16 +168,18 @@ func TestSessionRunCancelled(t *testing.T) {
 	}
 }
 
-// TestSessionOptionParity: the functional-option path must reproduce the
-// struct-options core it configures bit for bit — the Session API is a
-// reshaping, not a semantic change.
+// TestSessionOptionParity: the functional-option path must reproduce an
+// independent reference bit for bit — plain sim.Run calls with the same
+// settings, and for Compare a loop over the same per-trial seeds
+// (rng.NewKeyed(base, trial)) summarized with stats.Summarize. The
+// Session API is a reshaping, not a semantic change.
 func TestSessionOptionParity(t *testing.T) {
 	ctx := context.Background()
 	sc := tightsched.PaperScenario(5, 10, 2, 11)
 	session := tightsched.NewSession(tightsched.WithCap(200_000))
 	for _, h := range []string{"IE", "Y-IE", "RANDOM"} {
 		for _, seed := range []uint64{1, 7} {
-			oldRes, err := core.Run(sc, h, core.Options{Seed: seed, Cap: 200_000})
+			oldRes, err := sim.Run(sim.Config{Platform: sc.Platform, App: sc.App, Heuristic: h, Seed: seed, Cap: 200_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,23 +188,75 @@ func TestSessionOptionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if oldRes != newRes {
-				t.Fatalf("%s seed %d: session %+v != core %+v", h, seed, newRes, oldRes)
+				t.Fatalf("%s seed %d: session %+v != sim.Run %+v", h, seed, newRes, oldRes)
 			}
 		}
 	}
 
-	oldSums, err := core.Compare(sc, []string{"IE", "Y-IE"}, 3, 5, core.Options{Cap: 100_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSums, err := session.Compare(ctx, sc, []string{"IE", "Y-IE"}, 3,
+	const trials = 3
+	names := []string{"IE", "Y-IE"}
+	newSums, err := session.Compare(ctx, sc, names, trials,
 		tightsched.WithSeed(5), tightsched.WithCap(100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range oldSums {
-		if oldSums[i] != newSums[i] {
-			t.Fatalf("summary %d: session %+v != core %+v", i, newSums[i], oldSums[i])
+	for i, h := range names {
+		want := tightsched.HeuristicSummary{Heuristic: h}
+		var makespans []float64
+		var restarts, reconfigs float64
+		for tr := 0; tr < trials; tr++ {
+			res, err := sim.Run(sim.Config{Platform: sc.Platform, App: sc.App, Heuristic: h,
+				Seed: rng.NewKeyed(5, uint64(tr)).Uint64(), Cap: 100_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed {
+				want.Fails++
+			} else {
+				makespans = append(makespans, float64(res.Makespan))
+			}
+			restarts += float64(res.Restarts)
+			reconfigs += float64(res.Reconfigs)
+		}
+		want.Makespan = stats.Summarize(makespans)
+		want.MeanRestarts = restarts / trials
+		want.MeanReconfigs = reconfigs / trials
+		if newSums[i] != want {
+			t.Fatalf("summary %d: session %+v != reference %+v", i, newSums[i], want)
+		}
+	}
+}
+
+// panickingHeuristic is a test-only heuristic whose decisions panic,
+// standing in for faulty plugged-in policy code.
+type panickingHeuristic struct{}
+
+func (panickingHeuristic) Name() string { return "test-panicking-heuristic" }
+func (panickingHeuristic) Decide(*sched.View) app.Assignment {
+	panic("decision failed")
+}
+
+var registerPanicking = sync.OnceValue(func() error {
+	return tightsched.RegisterHeuristic("test-panicking-heuristic",
+		func(*tightsched.HeuristicEnv) (tightsched.Heuristic, error) { return panickingHeuristic{}, nil })
+})
+
+// TestComparePanicIsError: a registered heuristic that panics fails
+// Session.Compare with an error naming it instead of crashing the
+// process.
+func TestComparePanicIsError(t *testing.T) {
+	if err := registerPanicking(); err != nil {
+		t.Fatal(err)
+	}
+	sc := tightsched.PaperScenario(5, 10, 2, 11)
+	_, err := tightsched.NewSession().Compare(context.Background(), sc,
+		[]string{"IE", "test-panicking-heuristic"}, 2, tightsched.WithCap(10_000))
+	if err == nil {
+		t.Fatal("panicking heuristic did not fail Compare")
+	}
+	for _, want := range []string{"test-panicking-heuristic", "decision failed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
 		}
 	}
 }
@@ -646,7 +702,7 @@ func TestStreamUnknownHeuristicError(t *testing.T) {
 		t.Fatal("unknown heuristic accepted by Stream")
 	}
 	// The exp layer rejects it before any goroutine spawns.
-	if _, err := exp.Run(sweep, nil); err == nil {
+	if _, err := exp.RunWithContext(context.Background(), sweep, exp.RunOptions{}); err == nil {
 		t.Fatal("unknown heuristic accepted by Run")
 	}
 }

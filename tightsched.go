@@ -42,14 +42,16 @@
 package tightsched
 
 import (
+	"fmt"
+
 	"tightsched/internal/analytic"
 	"tightsched/internal/app"
 	"tightsched/internal/avail"
-	"tightsched/internal/core"
 	"tightsched/internal/exp"
 	"tightsched/internal/grid"
 	"tightsched/internal/markov"
 	"tightsched/internal/platform"
+	"tightsched/internal/rng"
 	"tightsched/internal/sched"
 	"tightsched/internal/sim"
 	"tightsched/internal/trace"
@@ -57,8 +59,6 @@ import (
 
 // Model types.
 type (
-	// Scenario bundles a platform and an application.
-	Scenario = core.Scenario
 	// Platform is a desktop grid: volatile processors plus the master's
 	// communication capacity.
 	Platform = platform.Platform
@@ -162,9 +162,7 @@ type (
 	// a custom policy into the simulator via WithCustomHeuristic.
 	Heuristic = sched.Heuristic
 	// HeuristicSummary aggregates one heuristic's results over trials.
-	HeuristicSummary = core.HeuristicSummary
-	// SetEstimate carries the Section V probabilistic estimates.
-	SetEstimate = core.SetEstimate
+	HeuristicSummary = exp.HeuristicSummary
 )
 
 // Experiment-harness types.
@@ -211,9 +209,45 @@ const (
 // DefaultMaxLeap is the default cap on one leap macro-step in slots.
 const DefaultMaxLeap = sim.DefaultMaxLeap
 
-// PaperScenario draws a random scenario with the Section VII.A parameters.
+// Scenario bundles a platform and an application: everything that
+// defines a scheduling problem except the availability realization.
+type Scenario struct {
+	Platform *Platform
+	App      Application
+}
+
+// Validate checks both halves of the scenario.
+func (sc Scenario) Validate() error {
+	if sc.Platform == nil {
+		return fmt.Errorf("tightsched: scenario has no platform")
+	}
+	if err := sc.Platform.Validate(); err != nil {
+		return err
+	}
+	if err := sc.App.Validate(); err != nil {
+		return err
+	}
+	if sc.Platform.TotalCapacity() < sc.App.Tasks {
+		return fmt.Errorf("tightsched: platform capacity below %d tasks", sc.App.Tasks)
+	}
+	return nil
+}
+
+// PaperScenario draws a random scenario with the Section VII.A
+// parameters: p = 20 processors, self-loop probabilities uniform in
+// [0.90, 0.99), w_q ~ U[wmin, 10·wmin], Tdata = wmin, Tprog = 5·wmin,
+// 10 iterations.
 func PaperScenario(m, ncom, wmin int, seed uint64) Scenario {
-	return core.PaperScenario(m, ncom, wmin, seed)
+	pl := platform.GeneratePaper(platform.DefaultPaperConfig(wmin, ncom), rng.New(seed))
+	return Scenario{
+		Platform: pl,
+		App: app.Application{
+			Tasks:      m,
+			Tprog:      5 * wmin,
+			Tdata:      wmin,
+			Iterations: 10,
+		},
+	}
 }
 
 // Heuristics returns the names of every registered heuristic — the
@@ -226,7 +260,7 @@ func Heuristics() []string { return sched.Registered() }
 // PaperHeuristics returns the paper's 17 heuristic names in the paper's
 // order (the default heuristic set of Compare and sweeps). The slice is a
 // fresh copy.
-func PaperHeuristics() []string { return core.Heuristics() }
+func PaperHeuristics() []string { return sched.Names() }
 
 // PaperSweep returns the full Section VII campaign for m tasks.
 func PaperSweep(m int) Sweep { return exp.PaperSweep(m) }

@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"tightsched"
+	"tightsched/internal/app"
 	"tightsched/internal/markov"
+	"tightsched/internal/platform"
+	"tightsched/internal/sched"
 )
 
 func TestFacadeRun(t *testing.T) {
@@ -262,4 +265,143 @@ func TestFacadeJournaledShardedSweep(t *testing.T) {
 	if len(res.Instances)*2 != len(full.Instances) {
 		t.Fatalf("resumed shard has %d instances, want %d", len(res.Instances), len(full.Instances)/2)
 	}
+}
+
+func TestPaperScenarioShape(t *testing.T) {
+	sc := tightsched.PaperScenario(5, 10, 3, 42)
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if sc.Platform.Size() != 20 || sc.Platform.Ncom != 10 {
+		t.Fatalf("platform: %d procs, ncom %d", sc.Platform.Size(), sc.Platform.Ncom)
+	}
+	if sc.App.Tasks != 5 || sc.App.Tprog != 15 || sc.App.Tdata != 3 || sc.App.Iterations != 10 {
+		t.Fatalf("application: %+v", sc.App)
+	}
+}
+
+func TestScenarioValidate(t *testing.T) {
+	if (tightsched.Scenario{}).Validate() == nil {
+		t.Fatal("empty scenario accepted")
+	}
+	sc := tightsched.PaperScenario(5, 10, 1, 1)
+	sc.App.Tasks = 0
+	if sc.Validate() == nil {
+		t.Fatal("invalid app accepted")
+	}
+	tiny := tightsched.Scenario{
+		Platform: platform.Homogeneous(1, 1, 1, 1, markov.Uniform(0.9)),
+		App:      app.Application{Tasks: 5, Iterations: 1},
+	}
+	if tiny.Validate() == nil {
+		t.Fatal("under-capacity scenario accepted")
+	}
+}
+
+func TestRunEndToEnd(t *testing.T) {
+	sc := tightsched.PaperScenario(3, 10, 1, 7)
+	rec := &tightsched.Recorder{}
+	res, err := tightsched.NewSession().Run(context.Background(), sc, "Y-IE",
+		tightsched.WithSeed(5), tightsched.WithCap(100000), tightsched.WithRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed || res.Completed != 10 {
+		t.Fatalf("run: %+v", res)
+	}
+	if rec.Len() == 0 || int64(rec.Len()) != res.Makespan {
+		t.Fatalf("trace length %d vs makespan %d", rec.Len(), res.Makespan)
+	}
+}
+
+func TestRunRejectsInvalid(t *testing.T) {
+	ctx := context.Background()
+	session := tightsched.NewSession()
+	if _, err := session.Run(ctx, tightsched.Scenario{}, "IE"); err == nil {
+		t.Fatal("invalid scenario accepted")
+	}
+	sc := tightsched.PaperScenario(3, 10, 1, 7)
+	if _, err := session.Run(ctx, sc, "NOPE"); err == nil {
+		t.Fatal("unknown heuristic accepted")
+	}
+}
+
+func TestHeuristicsList(t *testing.T) {
+	if len(tightsched.PaperHeuristics()) != 17 {
+		t.Fatalf("got %d heuristics", len(tightsched.PaperHeuristics()))
+	}
+}
+
+func TestEstimate(t *testing.T) {
+	sc := tightsched.PaperScenario(5, 10, 1, 21)
+	est, err := tightsched.NewSession().Estimate(context.Background(), sc, []int{0, 1, 2}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Pplus <= 0 || est.Pplus >= 1 {
+		t.Fatalf("Pplus = %v", est.Pplus)
+	}
+	if est.SuccessProb <= 0 || est.SuccessProb > est.Pplus {
+		t.Fatalf("SuccessProb = %v", est.SuccessProb)
+	}
+	if est.ExpectedDuration < 5 {
+		t.Fatalf("ExpectedDuration = %v below workload", est.ExpectedDuration)
+	}
+}
+
+func TestEstimateValidation(t *testing.T) {
+	ctx := context.Background()
+	session := tightsched.NewSession()
+	sc := tightsched.PaperScenario(5, 10, 1, 21)
+	cases := []struct {
+		workers []int
+		w       int
+	}{
+		{nil, 5},
+		{[]int{0}, 0},
+		{[]int{99}, 5},
+		{[]int{-1}, 5},
+	}
+	for i, c := range cases {
+		if _, err := session.Estimate(ctx, sc, c.workers, c.w); err == nil {
+			t.Fatalf("case %d accepted", i)
+		}
+	}
+	if _, err := session.Estimate(ctx, tightsched.Scenario{}, []int{0}, 1); err == nil {
+		t.Fatal("invalid scenario accepted")
+	}
+}
+
+func TestRunWithCustomHeuristic(t *testing.T) {
+	sc := tightsched.Scenario{
+		Platform: platform.Homogeneous(3, 1, platform.UnboundedCapacity, 3, markov.AlwaysUp()),
+		App:      app.Application{Tasks: 3, Tprog: 1, Tdata: 1, Iterations: 2},
+	}
+	res, err := tightsched.NewSession().Run(context.Background(), sc, "",
+		tightsched.WithCustomHeuristic(&everythingOnAll{}), tightsched.WithCap(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed || res.Heuristic != "ALL" {
+		t.Fatalf("custom run: %+v", res)
+	}
+}
+
+// everythingOnAll enrolls every processor with one task.
+type everythingOnAll struct{}
+
+func (e *everythingOnAll) Name() string { return "ALL" }
+
+func (e *everythingOnAll) Decide(v *sched.View) app.Assignment {
+	if v.Current != nil {
+		return v.Current
+	}
+	asg := make(app.Assignment, len(v.States))
+	for q := range asg {
+		if v.States[q] != markov.Up {
+			return nil
+		}
+		asg[q] = 1
+	}
+	return asg
 }
