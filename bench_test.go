@@ -313,8 +313,10 @@ func BenchmarkAnalyticCandidate(b *testing.B) {
 	}
 }
 
-// BenchmarkHeuristicDecide measures one full scheduling decision (fresh
-// configuration build) for a passive and a proactive heuristic.
+// BenchmarkHeuristicDecide measures one scheduling decision for a passive
+// and a proactive heuristic. The view repeats, so from the third
+// iteration on every build is served by the heuristic's build trace (see
+// BenchmarkGreedyRebuild for the rescoring paths).
 func BenchmarkHeuristicDecide(b *testing.B) {
 	for _, name := range []string{"IE", "IP", "Y-IE"} {
 		b.Run(name, func(b *testing.B) {
@@ -348,11 +350,14 @@ func BenchmarkHeuristicDecide(b *testing.B) {
 // the evaluation cache plus the spectral closed form on — the tuned
 // configuration whose decision cost the perf trajectory (BENCH_*.json)
 // tracks: memo hits make a repeated decision a handful of map lookups,
-// and spectral keeps first-sight (miss) evaluations cheap. Before
-// heuristics owned scratch buffers one passive decision cost ~17 allocs
-// / ~21 KB; with reuse it is down to the returned assignment. A
-// regression here multiplies across every slot of every simulation of a
-// sweep.
+// and spectral keeps first-sight (miss) evaluations cheap. The loop
+// repeats one view and only bumps the retention epoch, so from the
+// third iteration on the greedy build takes every candidate's (P, E)
+// from the heuristic's build trace: this measures the reuse path, and
+// BenchmarkGreedyRebuild measures rescoring. Before heuristics owned
+// scratch buffers one passive decision cost ~17 allocs / ~21 KB; with
+// reuse it is down to the returned assignment. A regression here
+// multiplies across every slot of every simulation of a sweep.
 func BenchmarkDecideAllocations(b *testing.B) {
 	for _, name := range []string{"IE", "Y-IE", "RANDOM", "FASTEST"} {
 		b.Run(name, func(b *testing.B) {
@@ -379,6 +384,84 @@ func BenchmarkDecideAllocations(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGreedyRebuild measures one greedy configuration build of the
+// paper's m = 10 scenario in the three regimes of the build trace:
+//
+//   - nonwinner-flip: IE rebuilds after a processor that won no step goes
+//     DOWN or comes back UP; every stored (P, E) still holds, so no
+//     candidate is rescored;
+//   - elapsed-IY: IY rebuilds after Elapsed advanced one slot; (P, E) do
+//     not read Elapsed, so only the criterion scores are recomputed;
+//   - cold: a brand-new IE instance builds, scoring every candidate (the
+//     set statistics are memo hits after the first iteration).
+//
+// The first two guard the reuse path, the third the full scoring path.
+func BenchmarkGreedyRebuild(b *testing.B) {
+	sc := tightsched.PaperScenario(10, 10, 5, 42)
+	env := &sched.Env{
+		Platform: sc.Platform,
+		App:      sc.App,
+		Analytic: analytic.NewPlatform(sc.Platform.Matrices(), sim.DefaultEps),
+	}
+	p := sc.Platform.Size()
+	newView := func() *sched.View {
+		return &sched.View{
+			States:  make([]markov.State, p),
+			Workers: make([]sched.WorkerInfo, p),
+		}
+	}
+	b.Run("nonwinner-flip", func(b *testing.B) {
+		h := sched.MustBuild("IE", env)
+		v := newView()
+		h.Decide(v)
+		asg := h.Decide(v) // the second build fills the trace
+		loser := -1
+		for q := p - 1; q >= 0 && loser < 0; q-- {
+			if asg[q] == 0 {
+				loser = q
+			}
+		}
+		if loser < 0 {
+			b.Fatal("every processor won a step")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.States[loser] = markov.Up
+			if i%2 == 0 {
+				v.States[loser] = markov.Down
+			}
+			if asg := h.Decide(v); asg == nil {
+				b.Fatal("no configuration")
+			}
+		}
+	})
+	b.Run("elapsed-IY", func(b *testing.B) {
+		h := sched.MustBuild("IY", env)
+		v := newView()
+		h.Decide(v)
+		h.Decide(v) // the second build fills the trace
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Elapsed = int64(i + 1)
+			if asg := h.Decide(v); asg == nil {
+				b.Fatal("no configuration")
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		v := newView()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if asg := sched.MustBuild("IE", env).Decide(v); asg == nil {
+				b.Fatal("no configuration")
+			}
+		}
+	})
 }
 
 // benchEngineScenarios are the engine-core benchmark settings: "markov"

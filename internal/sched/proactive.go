@@ -20,10 +20,14 @@ type proactive struct {
 	crit Criterion
 	name string
 
-	// Candidate cache: the fresh build depends only on which workers are
-	// UP and on message-granularity retention, both captured by the
-	// engine's retention epoch. Re-scoring a cached candidate is cheap;
-	// rebuilding it costs m·p series evaluations.
+	// Candidate cache, keyed on the UP set and the engine's retention
+	// epoch. A fresh build also reads Elapsed when the base is IY (its
+	// score is P/(T+E)), so P-IY, E-IY and Y-IY keep the candidate built
+	// at the epoch's first decision while Elapsed advances, where the
+	// paper rebuilds every slot (DESIGN.md, "Reproduction notes"; the
+	// goldens pin this behaviour). Re-scoring a cached candidate is
+	// cheap; a rebuild scores up to m·p candidates, fewer when the base's
+	// build trace still holds their (P, E).
 	cacheValid bool
 	cacheUp    []bool
 	cacheEpoch int64

@@ -384,11 +384,16 @@ func baseName(c Criterion) string {
 
 // upWorkersInto appends the indices of UP processors, in increasing
 // order, to dst[:0]. Heuristics own a scratch slice and pass it here so
-// the per-slot decision loop does not allocate.
+// the per-slot decision loop does not allocate; a nil dst is allocated
+// once at full size, on the first UP processor, rather than grown by
+// doubling.
 func upWorkersInto(dst []int, states []markov.State) []int {
 	dst = dst[:0]
 	for q, s := range states {
 		if s == markov.Up {
+			if dst == nil {
+				dst = make([]int, 0, len(states))
+			}
 			dst = append(dst, q)
 		}
 	}
